@@ -168,7 +168,7 @@ struct FaultRow {
 fn mode_threads(mode: ExecutionMode) -> usize {
     match mode {
         ExecutionMode::Serial => 1,
-        ExecutionMode::Sharded { threads } | ExecutionMode::Pooled { threads } => threads,
+        ExecutionMode::Pooled { threads } => threads,
     }
 }
 

@@ -1,5 +1,5 @@
 //! Resolver throughput: VMs resolved per second through the reusable
-//! [`EpochResolver`] versus the pre-refactor allocating `resolve_epoch` path.
+//! [`EpochResolver`] versus the pre-refactor allocating resolve path.
 //!
 //! This is the hot-path microbenchmark behind the ROADMAP's first scaling
 //! item: every epoch of every simulated machine funnels through epoch
@@ -31,11 +31,11 @@ use rand::{Rng, SeedableRng};
 /// Fraction of memory references that are loads — must match the resolver.
 const LOAD_FRACTION: f64 = 0.7;
 
-/// Frozen copy of the pre-refactor allocating `resolve_epoch_with_duration`:
+/// Frozen copy of the pre-refactor allocating resolve pipeline:
 /// the baseline the reusable resolver is measured against.  (The same copy
 /// backs the bit-identical equivalence proptest in
 /// `crates/hwsim/tests/resolver_equivalence.rs`.)
-fn allocating_resolve_epoch(
+fn allocating_resolve(
     spec: &MachineSpec,
     placements: &[PlacedDemand],
     epoch_seconds: f64,
@@ -279,7 +279,7 @@ fn run_measurements(budget: Duration) -> Vec<Measurement> {
             // Baseline: the pre-refactor allocating pipeline per call.
             let alloc = measure_vms_per_sec(vms_per_round, budget, || {
                 for (spec, placements) in fleet.machines.iter() {
-                    criterion::black_box(allocating_resolve_epoch(spec, placements, 1.0));
+                    criterion::black_box(allocating_resolve(spec, placements, 1.0));
                 }
             });
 
@@ -295,7 +295,7 @@ fn run_measurements(budget: Duration) -> Vec<Measurement> {
 }
 
 fn print_table(results: &[Measurement]) {
-    println!("# Resolver throughput — reusable EpochResolver vs allocating resolve_epoch");
+    println!("# Resolver throughput — reusable EpochResolver vs allocating resolve");
     println!("fleet,vms_per_machine,reused_vms_per_sec,alloc_vms_per_sec,speedup");
     for r in results {
         println!(
@@ -353,7 +353,7 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
     group.bench_function("alloc_xeon_16vms", |b| {
-        b.iter(|| allocating_resolve_epoch(&spec, &placements, 1.0).len())
+        b.iter(|| allocating_resolve(&spec, &placements, 1.0).len())
     });
     group.finish();
 }

@@ -52,7 +52,7 @@ BENCH_resolver.json — contention-resolver microbench, one row per fleet:
   speedup, available_parallelism
 
 BENCH_cluster.json — epoch-stepping matrix plus a churn probe:
-  throughput rows: mode (string: serial/sharded-N/pooled-N), machines, vms,
+  throughput rows: mode (serial or pooled-N), machines, vms,
     threads, epochs_per_sec, speedup_vs_serial, available_parallelism
   churn probe row: migration_churn_per_sec, available_parallelism
 
@@ -171,6 +171,14 @@ fn schema_for(path: &str) -> Option<Schema> {
     }
 }
 
+/// Whether `mode` is a cluster-stepping label: `serial` or `pooled-N`.
+fn is_cluster_mode(mode: &str) -> bool {
+    mode == "serial"
+        || mode
+            .strip_prefix("pooled-")
+            .is_some_and(|threads| threads.parse::<usize>().is_ok())
+}
+
 /// Validates a parsed dump against its schema.
 fn validate(doc: &Value, schema: Schema) -> Vec<String> {
     let mut errors = Vec::new();
@@ -217,10 +225,14 @@ fn validate(doc: &Value, schema: Schema) -> Vec<String> {
             }
             Schema::Cluster => {
                 if row.get("mode").is_some() {
-                    // A throughput row of the serial/sharded/pooled matrix.
+                    // A throughput row of the serial/pooled matrix.
                     measurement_rows += 1;
-                    if !matches!(row.get("mode"), Some(Value::Str(_))) {
-                        errors.push(format!("row {i}: \"mode\" must be a string"));
+                    match row.get("mode") {
+                        Some(Value::Str(mode)) if is_cluster_mode(mode) => {}
+                        Some(Value::Str(mode)) => errors.push(format!(
+                            "row {i}: unknown cluster \"mode\" {mode:?} (expected serial or pooled-N)"
+                        )),
+                        _ => errors.push(format!("row {i}: \"mode\" must be a string")),
                     }
                     require_positive(
                         row,
@@ -580,6 +592,24 @@ mod tests {
             errors.iter().any(|e| e.contains("refits_per_sec")),
             "{errors:?}"
         );
+    }
+
+    #[test]
+    fn cluster_modes_outside_serial_and_pooled_fail() {
+        for mode in ["sharded-4", "pooled-4-batch8", "pooled-", "warp"] {
+            let row = parse(&format!(
+                r#"[{{"machines": 64, "vms": 256, "mode": "{mode}", "threads": 4,
+                     "epochs_per_sec": 300.0, "speedup_vs_serial": 0.9,
+                     "available_parallelism": 4}}]"#
+            ));
+            let errors = validate(&row, Schema::Cluster);
+            assert!(
+                errors
+                    .iter()
+                    .any(|e| e.contains("unknown cluster \"mode\"")),
+                "{mode}: {errors:?}"
+            );
+        }
     }
 
     #[test]

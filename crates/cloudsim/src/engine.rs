@@ -1,31 +1,22 @@
-//! The epoch engine: serial, sharded, or pool-backed stepping of a cluster.
+//! The epoch engine: serial or pool-backed stepping of a cluster.
 //!
-//! [`EpochEngine`] owns the two knobs that used to be implicit in
-//! `Cluster::step_epoch`: the RNG policy (a [`ClusterSeed`] deriving an
-//! independent stream per `(vm, epoch)`, see [`crate::rngs`]) and the
-//! execution strategy ([`ExecutionMode`]).  Because every VM's demand stream
-//! is a pure function of its id, the epoch and the cluster seed, machines
-//! are data-independent within an epoch — so parallel execution partitions
-//! them into contiguous, balanced shards
-//! ([`crate::pool::split_balanced`]: shard count equals the effective
-//! thread count, sizes differ by at most one) and merges the per-machine
-//! reports back in machine-index order.  Serial and parallel runs are
-//! **bit-identical** in every mode (the equivalence proptest at
-//! `tests/engine_equivalence.rs` pins Serial vs Sharded vs Pooled), which
-//! means the thread count is purely a throughput knob, never a results knob.
+//! [`EpochEngine`] owns the two stepping knobs: the RNG policy (a
+//! [`ClusterSeed`] deriving an independent stream per `(vm, epoch)`, see
+//! [`crate::rngs`]) and the execution strategy ([`ExecutionMode`]).  Because every VM's demand stream is a pure function
+//! of its id, the epoch and the cluster seed, machines are data-independent
+//! within an epoch — so parallel execution partitions them into contiguous,
+//! balanced shards ([`crate::pool::split_balanced`]: shard count equals the
+//! effective thread count, sizes differ by at most one) and concatenates the
+//! per-shard reports back in machine-index order.  Serial and pooled runs
+//! are **bit-identical** (the equivalence proptest at
+//! `tests/engine_equivalence.rs` pins Serial vs Pooled), which means the
+//! thread count is purely a throughput knob, never a results knob.
 //!
-//! Two parallel strategies exist:
-//!
-//! * [`ExecutionMode::Sharded`] — the original spawn-per-call strategy:
-//!   scoped threads created and joined inside every `step`/`step_epochs`
-//!   call.  Kept as the measured baseline; it only pays off when
-//!   [`EpochEngine::step_epochs`] amortises the spawns over a batch.
-//! * [`ExecutionMode::Pooled`] — the production strategy: shard jobs are
-//!   enqueued on a persistent [`WorkerPool`] (spawned once, at engine
-//!   construction) and `step` blocks on the pool's epoch barrier.  This is
-//!   what lets the controller loop — which migrates VMs between epochs and
-//!   therefore must step one epoch at a time — go parallel without paying a
-//!   thread spawn per epoch.
+//! [`ExecutionMode::Pooled`] enqueues the shard jobs on a persistent
+//! [`WorkerPool`] (spawned once, at engine construction) and `step` blocks
+//! on the pool's epoch barrier.  This is what lets the controller loop —
+//! which migrates VMs between epochs and therefore must step one epoch at a
+//! time — go parallel without paying a thread spawn per epoch.
 //!
 //! ## Service mode & sparse stepping
 //!
@@ -36,7 +27,7 @@
 //! resolution.  The workload contract behind "provably static"
 //! ([`workloads::Workload::demand_is_static_at`]) makes the replay
 //! bit-identical to a dense resolve — the equivalence proptest pins sparse
-//! vs dense across all three execution modes under arrival/departure/
+//! vs dense across both execution modes under arrival/departure/
 //! migration churn — so [`EpochEngine::set_sparse`] is, like the thread
 //! count, purely a throughput knob, never a results knob.  The event-driven
 //! datacenter front end ([`crate::service::DatacenterService`]) leans on
@@ -76,20 +67,10 @@ pub const THREADS_ENV_VAR: &str = "CLOUDSIM_THREADS";
 pub enum ExecutionMode {
     /// One thread steps every machine in index order.
     Serial,
-    /// Machines are split into `threads` balanced contiguous shards, each
-    /// stepped on its own freshly spawned [`std::thread::scope`] thread;
-    /// reports are merged in machine-index order so the output is
-    /// bit-identical to [`ExecutionMode::Serial`].  Spawn-per-call: only
-    /// wins when batched via [`EpochEngine::step_epochs`]; prefer
-    /// [`ExecutionMode::Pooled`] for step-at-a-time callers.
-    Sharded {
-        /// Number of shards/worker threads (clamped to the machine count; a
-        /// value of 0 or 1 degenerates to serial stepping).
-        threads: usize,
-    },
-    /// Machines are split into the same balanced contiguous shards, but the
-    /// shard jobs run on a persistent [`WorkerPool`] owned by the engine —
-    /// no thread churn per call.  Output is bit-identical to
+    /// Machines are split into balanced contiguous shards whose jobs run on
+    /// a persistent [`WorkerPool`] owned by the engine — no thread churn per
+    /// call.  Reports are concatenated in machine-index order, so the
+    /// output is bit-identical to
     /// [`ExecutionMode::Serial`].
     Pooled {
         /// Parallel lanes (pool workers + the calling thread; clamped to
@@ -161,9 +142,7 @@ impl ExecutionMode {
     fn effective_threads(self, machines: usize) -> usize {
         match self {
             ExecutionMode::Serial => 1,
-            ExecutionMode::Sharded { threads } | ExecutionMode::Pooled { threads } => {
-                threads.clamp(1, machines.max(1))
-            }
+            ExecutionMode::Pooled { threads } => threads.clamp(1, machines.max(1)),
         }
     }
 }
@@ -317,134 +296,45 @@ impl EpochEngine {
     /// `load_for` maps a VM to its offered load for this epoch (driven by
     /// the trace substrate); the `Sync` bound is what lets shards evaluate
     /// it concurrently.
-    pub fn step<F>(&self, cluster: &mut Cluster, load_for: F) -> Vec<VmEpochReport>
-    where
-        F: Fn(VmId) -> f64 + Sync,
-    {
-        self.step_epochs(cluster, 1, |_, vm| load_for(vm))
-            .pop()
-            .expect("one epoch requested, one report batch returned")
-    }
-
-    /// Advances the cluster `epochs` epochs in one call and returns the
-    /// reports of each epoch (outer index: epoch offset; inner order: the
-    /// same machine-then-placement order [`EpochEngine::step`] produces).
-    /// `epochs == 0` is a no-op returning an empty vec.
-    ///
-    /// Bit-identical to calling [`EpochEngine::step`] `epochs` times — but a
-    /// shard runs its machines all the way to the horizon (machines are
-    /// independent across epochs as well as within one), so one
-    /// barrier covers the whole batch.  Use this whenever nothing needs to
-    /// mutate the cluster between epochs — capacity sweeps, warm-up phases,
-    /// throughput measurement; the controller loop, which migrates VMs
-    /// between epochs, calls [`EpochEngine::step`] and relies on
-    /// [`ExecutionMode::Pooled`] to make that cheap.
-    ///
-    /// `load_for` receives the absolute epoch index alongside the VM, so
-    /// trace-driven loads stay expressible.
     ///
     /// If `load_for` (or a workload model) panics, the panic propagates per
     /// the [module](self) policy: barrier first, lowest shard's payload
     /// re-raised here, epoch counter untouched, pool workers intact.
-    pub fn step_epochs<F>(
-        &self,
-        cluster: &mut Cluster,
-        epochs: usize,
-        load_for: F,
-    ) -> Vec<Vec<VmEpochReport>>
+    pub fn step<F>(&self, cluster: &mut Cluster, load_for: F) -> Vec<VmEpochReport>
     where
-        F: Fn(u64, VmId) -> f64 + Sync,
+        F: Fn(VmId) -> f64 + Sync,
     {
-        if epochs == 0 {
-            return Vec::new();
-        }
-        let first_epoch = cluster.epoch();
+        let epoch = cluster.epoch();
         let seed = self.seed;
         let sparse = self.sparse;
-        let machines = cluster.machines_mut();
-        let threads = self.mode.effective_threads(machines.len());
-
-        let step_shard = |shard: &mut [PhysicalMachine]| -> Vec<Vec<VmEpochReport>> {
-            // One report per resident VM per epoch: reserving up front keeps
-            // the output vector from realloc-copying its way to full size —
-            // at 10k+ machines that copy traffic would dominate the sparse
+        let step_shard = |shard: &mut [PhysicalMachine]| -> Vec<VmEpochReport> {
+            // One report per resident VM: reserving up front keeps the
+            // output vector from realloc-copying its way to full size — at
+            // 10k+ machines that copy traffic would dominate the sparse
             // path, whose real work is only a memcpy per quiescent machine.
-            let shard_vms: usize = shard.iter().map(PhysicalMachine::vm_count).sum();
-            let mut per_epoch: Vec<Vec<VmEpochReport>> =
-                (0..epochs).map(|_| Vec::with_capacity(shard_vms)).collect();
-            for (offset, out) in per_epoch.iter_mut().enumerate() {
-                let epoch = first_epoch + offset as u64;
-                for machine in shard.iter_mut() {
-                    // Reports land straight in the epoch's output vector —
-                    // no per-machine allocation on either the dense or the
-                    // cached path.
-                    machine.step_epoch_into(epoch, &|vm| load_for(epoch, vm), seed, sparse, out);
-                }
+            let vms = shard.iter().map(PhysicalMachine::vm_count).sum();
+            let mut out = Vec::with_capacity(vms);
+            for machine in shard.iter_mut() {
+                machine.step_epoch_into(epoch, &load_for, seed, sparse, &mut out);
             }
-            per_epoch
+            out
         };
-
-        let reports = if threads <= 1 {
-            // Zero- and one-machine clusters (and serial mode) step entirely
-            // on the calling thread: no shards, no pool traffic.
-            step_shard(machines)
-        } else {
-            // Balanced contiguous shards preserve machine order — exactly
-            // `threads` shards whose sizes differ by at most one (the old
-            // `chunks_mut(len.div_ceil(threads))` sizing could leave half
-            // the workers idle: 65 machines at 64 threads → 33 shards of 2).
-            // Merging in shard order restores the serial report order.
-            let mut shards = split_balanced(machines, threads);
-            match (&self.pool, self.mode) {
-                (Some(pool), ExecutionMode::Pooled { .. }) => {
-                    // scatter_map shares one closure by reference across the
-                    // shard slice: no per-shard closure boxing, no per-epoch
-                    // job vector — the allocation-free path a controller
-                    // loop stepping one epoch at a time stays hot on.
-                    // The pool re-raises the lowest shard's panic after the
-                    // barrier; workers survive it.
-                    Self::merge_shards(
-                        pool.scatter_map(&mut shards, &|shard: &mut &mut [PhysicalMachine]| {
-                            step_shard(shard)
-                        }),
-                        epochs,
-                    )
-                }
-                _ => {
-                    let mut shards = shards.into_iter();
-                    let first = shards.next().expect("at least one shard");
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = shards
-                            .map(|shard| scope.spawn(|| step_shard(shard)))
-                            .collect();
-                        // Run shard 0 here under catch_unwind so a panic
-                        // still joins every spawned shard (the barrier)
-                        // before being re-raised.
-                        let mut results = vec![std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| step_shard(first)),
-                        )];
-                        results.extend(handles.into_iter().map(|h| h.join()));
-                        let mut merged: Vec<Vec<Vec<VmEpochReport>>> = Vec::new();
-                        let mut panic = None;
-                        for result in results {
-                            match result {
-                                Ok(shard_epochs) => merged.push(shard_epochs),
-                                Err(payload) => {
-                                    panic.get_or_insert(payload);
-                                }
-                            }
-                        }
-                        if let Some(payload) = panic {
-                            std::panic::resume_unwind(payload);
-                        }
-                        Self::merge_shards(merged, epochs)
-                    })
-                }
-            }
+        let machines = cluster.machines_mut();
+        let reports = match self.parallel_lanes(machines.len()) {
+            // scatter_map shares one closure by reference across the shard
+            // slice: no per-shard closure boxing, no per-epoch job vector —
+            // the allocation-free path a controller loop stepping one epoch
+            // at a time stays hot on.  Concatenating the shards in order
+            // restores the serial report order.
+            Some((pool, threads)) => pool
+                .scatter_map(
+                    &mut split_balanced(machines, threads),
+                    &|shard: &mut &mut [PhysicalMachine]| step_shard(shard),
+                )
+                .concat(),
+            None => step_shard(machines),
         };
-        for _ in 0..epochs {
-            cluster.advance_epoch();
-        }
+        cluster.advance_epoch();
         reports
     }
 
@@ -456,7 +346,7 @@ impl EpochEngine {
     /// This is the bulk-throughput entry point for callers that do not
     /// consume per-epoch reports — fast-forwarding the quiescent valley of
     /// a diurnal trace, capacity sweeps, warm-up.  Cluster state evolves
-    /// bit-identically to [`EpochEngine::step_epochs`] under a
+    /// bit-identically to repeated [`EpochEngine::step`] calls under a
     /// load closure constant over the batch: machines whose demand can
     /// still change resolve every epoch exactly as they would, and a
     /// machine whose workloads are all static at its loads resolves at
@@ -469,7 +359,7 @@ impl EpochEngine {
     ///
     /// Runs under the engine's [`ExecutionMode`] with the same balanced
     /// sharding, bit-identical results and barrier-first panic policy as
-    /// [`EpochEngine::step_epochs`].  With sparse stepping disabled every
+    /// [`EpochEngine::step`].  With sparse stepping disabled every
     /// machine resolves every epoch (the dense baseline, minus report
     /// packaging).
     pub fn advance_epochs<F>(
@@ -490,49 +380,20 @@ impl EpochEngine {
         let first_epoch = cluster.epoch();
         let seed = self.seed;
         let sparse = self.sparse;
-        let machines = cluster.machines_mut();
-        let threads = self.mode.effective_threads(machines.len());
-
         let advance_shard = |shard: &mut [PhysicalMachine]| {
             for machine in shard.iter_mut() {
                 machine.advance_epochs(first_epoch, epochs, &load_for, seed, sparse);
             }
         };
-
-        if threads <= 1 {
-            advance_shard(machines);
-        } else {
-            let mut shards = split_balanced(machines, threads);
-            match (&self.pool, self.mode) {
-                (Some(pool), ExecutionMode::Pooled { .. }) => {
-                    pool.scatter_map(&mut shards, &|shard: &mut &mut [PhysicalMachine]| {
-                        advance_shard(shard)
-                    });
-                }
-                _ => {
-                    let mut shards = shards.into_iter();
-                    let first = shards.next().expect("at least one shard");
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = shards
-                            .map(|shard| scope.spawn(|| advance_shard(shard)))
-                            .collect();
-                        // Barrier-first: join every spawned shard before
-                        // re-raising a local panic.
-                        let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            advance_shard(first)
-                        }));
-                        let mut panic = local.err();
-                        for handle in handles {
-                            if let Err(payload) = handle.join() {
-                                panic.get_or_insert(payload);
-                            }
-                        }
-                        if let Some(payload) = panic {
-                            std::panic::resume_unwind(payload);
-                        }
-                    });
-                }
+        let machines = cluster.machines_mut();
+        match self.parallel_lanes(machines.len()) {
+            Some((pool, threads)) => {
+                pool.scatter_map(
+                    &mut split_balanced(machines, threads),
+                    &|shard: &mut &mut [PhysicalMachine]| advance_shard(shard),
+                );
             }
+            None => advance_shard(machines),
         }
         for _ in 0..epochs {
             cluster.advance_epoch();
@@ -544,19 +405,15 @@ impl EpochEngine {
         }
     }
 
-    /// Merges per-shard `[epoch][report]` batches (shards in machine-index
-    /// order) into one `[epoch][report]` batch matching serial order.
-    fn merge_shards(
-        shard_results: Vec<Vec<Vec<VmEpochReport>>>,
-        epochs: usize,
-    ) -> Vec<Vec<VmEpochReport>> {
-        let mut merged: Vec<Vec<VmEpochReport>> = (0..epochs).map(|_| Vec::new()).collect();
-        for shard_epochs in shard_results {
-            for (into, from) in merged.iter_mut().zip(shard_epochs) {
-                into.extend(from);
-            }
-        }
-        merged
+    /// The pool and shard count for stepping `machines` machines, or `None`
+    /// when they step on the calling thread: serial mode, and zero- or
+    /// one-machine clusters (no shards, no pool traffic).
+    fn parallel_lanes(&self, machines: usize) -> Option<(&WorkerPool, usize)> {
+        let threads = self.mode.effective_threads(machines);
+        self.pool
+            .as_deref()
+            .filter(|_| threads > 1)
+            .map(|pool| (pool, threads))
     }
 }
 
@@ -600,12 +457,26 @@ mod tests {
         all
     }
 
+    /// Steps `epochs` epochs one `step` call at a time, returning each
+    /// epoch's reports.
+    fn step_n(
+        engine: &EpochEngine,
+        cluster: &mut Cluster,
+        epochs: usize,
+        load: impl Fn(u64, VmId) -> f64 + Sync,
+    ) -> Vec<Vec<VmEpochReport>> {
+        (0..epochs)
+            .map(|_| {
+                let epoch = cluster.epoch();
+                engine.step(cluster, |vm| load(epoch, vm))
+            })
+            .collect()
+    }
+
     #[test]
-    fn serial_sharded_and_pooled_are_bit_identical() {
+    fn serial_and_pooled_are_bit_identical() {
         let serial = run(ExecutionMode::Serial, 4);
         for threads in [1, 2, 3, 8, 64] {
-            let sharded = run(ExecutionMode::Sharded { threads }, 4);
-            assert_eq!(serial, sharded, "sharded divergence at {threads} threads");
             let pooled = run(ExecutionMode::Pooled { threads }, 4);
             assert_eq!(serial, pooled, "pooled divergence at {threads} threads");
         }
@@ -624,24 +495,15 @@ mod tests {
                 assert_eq!(c.machines_mut().len(), machines);
                 c
             };
+            let load = |e: u64, vm: VmId| 0.2 + 0.05 * ((e + vm.0) % 7) as f64;
             let serial = EpochEngine::serial(ClusterSeed::new(13));
-            let mut c_serial = build();
-            let expected = serial.step_epochs(&mut c_serial, 3, |e, vm| {
-                0.2 + 0.05 * ((e + vm.0) % 7) as f64
-            });
-            for mode in [
-                ExecutionMode::Sharded { threads },
-                ExecutionMode::Pooled { threads },
-            ] {
-                let engine = EpochEngine::new(ClusterSeed::new(13), mode);
-                let mut c = build();
-                let got =
-                    engine.step_epochs(&mut c, 3, |e, vm| 0.2 + 0.05 * ((e + vm.0) % 7) as f64);
-                assert_eq!(
-                    expected, got,
-                    "{machines} machines at {threads} threads diverged under {mode:?}"
-                );
-            }
+            let expected = step_n(&serial, &mut build(), 3, load);
+            let pooled = EpochEngine::new(ClusterSeed::new(13), ExecutionMode::Pooled { threads });
+            let got = step_n(&pooled, &mut build(), 3, load);
+            assert_eq!(
+                expected, got,
+                "{machines} machines at {threads} threads diverged"
+            );
         }
     }
 
@@ -660,21 +522,16 @@ mod tests {
 
     #[test]
     fn reports_come_back_in_machine_then_placement_order() {
-        for mode in [
-            ExecutionMode::Sharded { threads: 3 },
-            ExecutionMode::Pooled { threads: 3 },
-        ] {
-            let mut c = cluster(3, 9);
-            let expected: Vec<(PmId, VmId)> = c
-                .machines()
-                .iter()
-                .flat_map(|m| m.vms().iter().map(|v| (m.id, v.id)))
-                .collect();
-            let engine = EpochEngine::new(ClusterSeed::new(3), mode);
-            let reports = engine.step(&mut c, |_| 0.8);
-            let got: Vec<(PmId, VmId)> = reports.iter().map(|r| (r.pm_id, r.vm_id)).collect();
-            assert_eq!(got, expected, "order broke under {mode:?}");
-        }
+        let mut c = cluster(3, 9);
+        let expected: Vec<(PmId, VmId)> = c
+            .machines()
+            .iter()
+            .flat_map(|m| m.vms().iter().map(|v| (m.id, v.id)))
+            .collect();
+        let engine = EpochEngine::new(ClusterSeed::new(3), ExecutionMode::Pooled { threads: 3 });
+        let reports = engine.step(&mut c, |_| 0.8);
+        let got: Vec<(PmId, VmId)> = reports.iter().map(|r| (r.pm_id, r.vm_id)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -715,35 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_stepping_is_bit_identical_to_repeated_step() {
-        let load = |epoch: u64, vm: VmId| 0.3 + 0.04 * ((epoch + vm.0) % 9) as f64;
-        // Reference: one step() call per epoch, serial.
-        let mut reference = cluster(5, 12);
-        let serial = EpochEngine::serial(ClusterSeed::new(21));
-        let per_step: Vec<Vec<VmEpochReport>> = (0..6)
-            .map(|_| {
-                let epoch = reference.epoch();
-                serial.step(&mut reference, |vm| load(epoch, vm))
-            })
-            .collect();
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Sharded { threads: 2 },
-            ExecutionMode::Sharded { threads: 8 },
-            ExecutionMode::Pooled { threads: 2 },
-            ExecutionMode::Pooled { threads: 8 },
-        ] {
-            let mut c = cluster(5, 12);
-            let engine = EpochEngine::new(ClusterSeed::new(21), mode);
-            // Split the horizon across two batches to exercise the resume.
-            let mut batched = engine.step_epochs(&mut c, 2, load);
-            batched.extend(engine.step_epochs(&mut c, 4, load));
-            assert_eq!(c.epoch(), 6);
-            assert_eq!(per_step, batched, "batched divergence under {mode:?}");
-        }
-    }
-
-    #[test]
     fn sparse_and_dense_stepping_are_bit_identical() {
         let load = |epoch: u64, vm: VmId| {
             // Half the VMs go fully idle on even epochs — exactly the
@@ -761,8 +589,8 @@ mod tests {
         assert!(sparse_engine.sparse(), "sparse is the default");
         let mut dense_cluster = cluster(5, 12);
         let mut sparse_cluster = cluster(5, 12);
-        let dense = dense_engine.step_epochs(&mut dense_cluster, 8, load);
-        let sparse = sparse_engine.step_epochs(&mut sparse_cluster, 8, load);
+        let dense = step_n(&dense_engine, &mut dense_cluster, 8, load);
+        let sparse = step_n(&sparse_engine, &mut sparse_cluster, 8, load);
         assert_eq!(dense, sparse);
         assert_eq!(
             dense_cluster.total_quiescent_steps(),
@@ -790,7 +618,7 @@ mod tests {
         // skipped outright, so only those 2 ever resolve.
         assert_eq!(c.total_resolves(), 2);
         assert_eq!(c.total_quiescent_steps(), 0);
-        let later = engine.step_epochs(&mut c, 10, |_, _| 0.0);
+        let later = step_n(&engine, &mut c, 10, |_, _| 0.0);
         assert_eq!(c.total_resolves(), 2, "quiescent epochs must not resolve");
         assert_eq!(c.total_quiescent_steps(), 20);
         // And the replayed reports differ from the resolved one only in
@@ -817,11 +645,7 @@ mod tests {
             ref_engine.step(&mut reference, load);
         }
         let expected_tail = ref_engine.step(&mut reference, load);
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Sharded { threads: 3 },
-            ExecutionMode::Pooled { threads: 3 },
-        ] {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled { threads: 3 }] {
             for sparse in [false, true] {
                 let mut c = cluster(4, 10);
                 let mut engine = EpochEngine::new(ClusterSeed::new(41), mode);
@@ -872,10 +696,8 @@ mod tests {
         assert_eq!(engine.mode(), ExecutionMode::Serial);
         assert_eq!(engine.seed(), ClusterSeed::new(4));
         assert!(engine.worker_pool().is_none());
-        engine.set_mode(ExecutionMode::Sharded { threads: 4 });
-        assert_eq!(engine.mode(), ExecutionMode::Sharded { threads: 4 });
-        assert!(engine.worker_pool().is_none(), "sharded mode owns no pool");
         engine.set_mode(ExecutionMode::Pooled { threads: 4 });
+        assert_eq!(engine.mode(), ExecutionMode::Pooled { threads: 4 });
         let pool = engine.worker_pool().expect("pooled mode spawns the pool");
         assert_eq!(pool.lanes(), 4);
         engine.set_mode(ExecutionMode::Serial);

@@ -26,11 +26,10 @@
 //!   refits and benchmark training); plus [`pool::split_balanced`], the
 //!   shard partitioner every parallel path shares.
 //! * [`engine`] — [`engine::EpochEngine`]: epoch stepping as a policy
-//!   object — [`engine::ExecutionMode::Serial`],
-//!   [`engine::ExecutionMode::Sharded`] (spawn-per-call scoped threads,
-//!   the measured baseline) or [`engine::ExecutionMode::Pooled`]
-//!   (persistent [`pool::WorkerPool`], the production mode) — with
-//!   bit-identical output in every mode and a barrier-first panic policy.
+//!   object — [`engine::ExecutionMode::Serial`] or
+//!   [`engine::ExecutionMode::Pooled`] (persistent [`pool::WorkerPool`]) —
+//!   with bit-identical output in both modes and a barrier-first panic
+//!   policy.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
 //!   depart per a `traces` session stream, batched between epochs and fed

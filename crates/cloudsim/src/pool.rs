@@ -7,18 +7,17 @@
 //! order.  This is the execution substrate behind
 //! [`ExecutionMode::Pooled`](crate::engine::ExecutionMode::Pooled) — and,
 //! via the `deepdive` controller, behind parallel warning-model refits and
-//! synthetic-benchmark training.  It exists because spawn-per-step scoped
-//! threads made sharded stepping a *pessimization*: the controller loop
-//! steps one epoch at a time (it migrates VMs between epochs), so it paid a
-//! full thread spawn + join per epoch and could never amortise the way
-//! batched `step_epochs` callers do.
+//! synthetic-benchmark training.  The threads persist because the
+//! controller loop steps one epoch at a time (it migrates VMs between
+//! epochs): spawning and joining threads inside every step would cost more
+//! than the step itself on small fleets.
 //!
 //! Two entry points share the machinery: [`WorkerPool::scatter_map`] maps a
-//! shared function over a mutable slice with **zero heap allocation per
-//! item** (tasks are two-word raw descriptors pointing into a caller-owned
-//! context arena — what per-epoch callers like the engine's pooled shard
-//! loop want, since they re-scatter every epoch), and [`WorkerPool::scatter`]
-//! wraps it for one-shot heterogeneous closures.
+//! shared function over a mutable slice with **no boxed closure per item**
+//! (tasks are small raw descriptors pointing into a caller-owned context
+//! arena — what per-epoch callers like the engine's pooled shard loop want,
+//! since they re-scatter every epoch), and [`WorkerPool::scatter`] wraps it
+//! for one-shot heterogeneous closures.
 //!
 //! ## Contract
 //!
@@ -47,13 +46,13 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// A type-erased unit of work: a monomorphised trampoline plus the context
-/// it runs on.  Tasks are constructed by [`WorkerPool::scatter_map`], whose
-/// completion barrier guarantees the context outlives the task — that is
-/// what makes sending raw pointers to persistent threads sound.  Unlike a
-/// boxed closure, a `RawTask` is two words and allocates nothing, so
-/// batched callers (the epoch engine re-scatters its shards every epoch)
-/// pay zero heap churn per job.
+/// A type-erased unit of work: a monomorphised trampoline, the context it
+/// runs on, and the task's own completion signal.  Tasks are constructed by
+/// [`WorkerPool::scatter_map`], whose completion barrier guarantees the
+/// context outlives the task's `run` call — that is what makes sending raw
+/// pointers to persistent threads sound.  Unlike a boxed closure, a
+/// `RawTask` allocates nothing, so per-epoch callers (the epoch engine
+/// re-scatters its shards every epoch) pay no heap churn per job.
 struct RawTask {
     /// Trampoline that knows the concrete context type behind `ctx`.
     // SAFETY: calling this is sound only with the `ctx` pointer stored
@@ -62,14 +61,37 @@ struct RawTask {
     run: unsafe fn(*const ()),
     /// Points into the coordinating thread's context arena.
     ctx: *const (),
+    /// Completion signal, owned by the task rather than the arena: the
+    /// coordinating thread may free the arena the moment it has every
+    /// receipt, possibly while this `send` is still returning, so nothing
+    /// the sender touches may live there.
+    done: Sender<()>,
 }
 
 // SAFETY: the context behind `ctx` is owned by the coordinating thread,
 // which keeps it alive and un-moved until every task has signalled
 // completion (the scatter barrier); each task reads only its own context
 // and writes only through that context's item/slot pointers, which target
-// storage disjoint from every other task's.
+// storage disjoint from every other task's.  `done` is an owned `Sender`,
+// which is `Send` in its own right.
 unsafe impl Send for RawTask {}
+
+impl RawTask {
+    /// Runs the task, then signals completion.  The signal is the task's
+    /// last touch of anything the coordinating thread owns: after `run`
+    /// returns the context is never read again, and the send goes through
+    /// the task's own `Sender`.
+    ///
+    /// # Safety
+    /// `ctx` must still be alive, per the [`RawTask`] contract — which
+    /// `scatter_map` guarantees until it has received this task's signal.
+    unsafe fn execute(self) {
+        // SAFETY: caller contract — the context is alive and `run` is the
+        // trampoline built for it.
+        unsafe { (self.run)(self.ctx) };
+        let _ = self.done.send(());
+    }
+}
 
 /// Per-item context for [`WorkerPool::scatter_map`]: everything the
 /// trampoline needs, laid out in an arena the coordinating thread owns for
@@ -84,20 +106,17 @@ struct MapCtx<I, T, F> {
     /// The shared map function (`F: Sync` at the only construction site,
     /// so concurrent shared calls are sound).
     f: *const F,
-    /// Completion signal; exactly one send, after the slot write.
-    done: Sender<()>,
 }
 
 /// The trampoline behind [`WorkerPool::scatter_map`]: runs the map function
-/// on the context's item under `catch_unwind`, stores the result, signals
-/// the barrier.  Never unwinds, so a worker's receive loop survives any
-/// panicking job.
+/// on the context's item under `catch_unwind` and stores the result.  Never
+/// unwinds, so a worker's receive loop survives any panicking job.
 ///
 /// # Safety
 /// `ctx` must point to a live `MapCtx<I, T, F>` whose item and slot
 /// pointers are exclusively owned by this call (scatter_map's arena
-/// construction) and stay alive until its `done` signal has been received
-/// (scatter_map's barrier).
+/// construction) and stay alive until this call returns (scatter_map's
+/// barrier waits for the completion signal sent after it).
 unsafe fn run_map<I, T, F: Fn(&mut I) -> T>(ctx: *const ()) {
     // SAFETY: caller contract — `ctx` points to a live `MapCtx<I, T, F>`
     // that outlives this call.
@@ -107,9 +126,8 @@ unsafe fn run_map<I, T, F: Fn(&mut I) -> T>(ctx: *const ()) {
     let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*ctx.f)(&mut *ctx.item) }));
     // SAFETY: caller contract — `slot` is storage this task exclusively
     // owns; the write is published to the coordinating thread through the
-    // completion channel's happens-before edge.
+    // happens-before edge of the completion signal sent after this returns.
     unsafe { ctx.slot.write(Some(result)) };
-    let _ = ctx.done.send(());
 }
 
 /// Long-lived worker threads with one work queue each.
@@ -163,10 +181,10 @@ impl WorkerPool {
                     // queue disconnects at pool drop.
                     for task in rx {
                         // SAFETY: `scatter_map` keeps the task's context
-                        // alive and un-moved until its completion barrier,
-                        // and no other task shares this task's item/slot
-                        // storage.
-                        unsafe { (task.run)(task.ctx) };
+                        // alive and un-moved until it receives the task's
+                        // completion signal, and no other task shares this
+                        // task's item/slot storage.
+                        unsafe { task.execute() };
                     }
                 })
                 .expect("spawn cloudsim pool worker");
@@ -207,11 +225,11 @@ impl WorkerPool {
     /// Maps `f` over `items` concurrently, in place, returning the results
     /// in item order.
     ///
-    /// This is the allocation-free scatter primitive: per call it allocates
-    /// only the context arena and the result vector — tasks are two-word
-    /// raw descriptors, never boxed closures — so batched callers (the
-    /// epoch engine re-scatters its shards every single epoch) pay zero
-    /// heap churn per job.
+    /// This is the low-overhead scatter primitive: per call it allocates
+    /// only the context arena and the result vector — tasks are raw
+    /// descriptors, never boxed closures — so per-epoch callers (the epoch
+    /// engine re-scatters its shards every single epoch) pay no heap churn
+    /// per job.
     ///
     /// Item 0 runs on the calling thread; items `1..` are distributed
     /// round-robin over the per-worker queues (with more items than
@@ -232,50 +250,49 @@ impl WorkerPool {
         }
         let mut slots: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
-        let (done_tx, done_rx) = mpsc::channel::<()>();
         // The context arena: fully built before anything is dispatched, so
         // it never reallocates while workers hold pointers into it.
-        let mut ctxs: Vec<MapCtx<I, T, F>> = Vec::with_capacity(n);
-        for (item, slot) in items.iter_mut().zip(slots.iter_mut()) {
-            ctxs.push(MapCtx {
-                item,
-                slot,
-                f,
-                done: done_tx.clone(),
-            });
-        }
-        drop(done_tx);
+        let ctxs: Vec<MapCtx<I, T, F>> = items
+            .iter_mut()
+            .zip(slots.iter_mut())
+            .map(|(item, slot)| MapCtx { item, slot, f })
+            .collect();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
         for (index, ctx) in ctxs.iter().enumerate().skip(1) {
             let task = RawTask {
                 run: run_map::<I, T, F>,
                 ctx: (ctx as *const MapCtx<I, T, F>).cast(),
+                done: done_tx.clone(),
             };
             if self.queues.is_empty() {
                 // SAFETY: the context is alive (arena above) and
                 // exclusively owns its item/slot; inline execution
                 // trivially precedes the barrier.
-                unsafe { (task.run)(task.ctx) };
+                unsafe { task.execute() };
             } else if let Err(rejected) = self.queues[(index - 1) % self.queues.len()].send(task) {
                 // A closed queue is unreachable while the pool is alive
                 // (workers only exit when their Sender drops, in Drop), but
                 // degrade to inline execution rather than lose the job.
                 // SAFETY: as for the inline branch above.
-                unsafe { ((rejected.0).run)((rejected.0).ctx) };
+                unsafe { rejected.0.execute() };
             }
         }
+        drop(done_tx);
         // The calling thread is lane 0.  The trampoline catches panics, so
         // a panicking item 0 still reaches the barrier below — unwinding
         // past it while workers hold pointers into the arena would be
         // undefined behaviour.
         // SAFETY: context 0 is alive and exclusively owns its item/slot.
         unsafe { run_map::<I, T, F>((&ctxs[0] as *const MapCtx<I, T, F>).cast()) };
-        // The barrier: every task (including item 0's inline run) signals
-        // exactly once, after writing its slot, so `n` receipts prove every
-        // slot is written and no pointers into the arena or the caller's
-        // slice remain in use.  Err (all senders gone) is unreachable while
-        // `ctxs` holds the senders, but would only mean no further signal
-        // can arrive.
-        for _ in 0..n {
+        // The barrier: every dispatched task signals exactly once, after
+        // its `run` returned, so `n - 1` receipts prove every slot is
+        // written and no pointer into the arena or the caller's slice is
+        // still in use.  The senders travel with the tasks, so the arena
+        // can be dropped while a worker is still inside its `send`.  Err
+        // (every sender gone) would mean no further signal can arrive; it
+        // is unreachable, because a task only drops its sender after
+        // sending.
+        for _ in 1..n {
             if done_rx.recv().is_err() {
                 break;
             }

@@ -1,7 +1,7 @@
 //! The event-driven datacenter front end.
 //!
 //! Everything below the engine treats the cluster as a fixed population:
-//! `step_epochs` sweeps whatever VMs are placed.  A real datacenter is a
+//! `step` sweeps whatever VMs are placed.  A real datacenter is a
 //! *process* — VMs arrive, run hot for a while, go idle, and eventually
 //! depart — and the interesting throughput question is how fast the
 //! simulator sustains that churn at fleet scale.  [`DatacenterService`] is
@@ -45,7 +45,7 @@
 //! [`RETRY_BACKOFF_CAP_EPOCHS`] epochs) and either land when capacity frees
 //! or are counted as abandoned.  All fault handling runs serially between
 //! engine steps as a pure function of the epoch index, so runs stay
-//! bit-identical across Serial/Sharded/Pooled execution — and a disabled
+//! bit-identical across Serial and Pooled execution — and a disabled
 //! plane (or none) changes nothing, byte for byte.
 //!
 //! ## Drain protocol

@@ -391,33 +391,15 @@ impl DeepDive {
                 specs.push(machine.spec.clone());
             }
         }
-        if specs.is_empty() {
-            return;
-        }
         let samples = self.config.synthetic_training_samples;
         let seed = self.config.seed;
+        // One job per machine model; each trains serially inside its job
+        // (a nested scatter on the same pool would deadlock), so the
+        // parallelism is across models.
+        let train = |spec: &mut MachineSpec| SyntheticBenchmark::train(spec.clone(), samples, seed);
         let trained: Vec<SyntheticBenchmark> = match &self.pool {
-            Some(pool) if pool.lanes() > 1 && specs.len() > 1 => {
-                // One job per machine model.  Jobs run *on* the pool, so
-                // each trains serially inside (nested scatter on the same
-                // pool would deadlock); the parallelism is across models.
-                let jobs: Vec<_> = specs
-                    .iter()
-                    .map(|spec| {
-                        let spec = spec.clone();
-                        move || SyntheticBenchmark::train_with_threads(spec, samples, seed, 1)
-                    })
-                    .collect();
-                pool.scatter(jobs)
-            }
-            Some(pool) => specs
-                .iter()
-                .map(|spec| SyntheticBenchmark::train_with_pool(spec.clone(), samples, seed, pool))
-                .collect(),
-            None => specs
-                .iter()
-                .map(|spec| SyntheticBenchmark::train(spec.clone(), samples, seed))
-                .collect(),
+            Some(pool) => pool.scatter_map(&mut specs, &train),
+            None => specs.iter_mut().map(train).collect(),
         };
         for benchmark in trained {
             self.synthetic

@@ -54,9 +54,10 @@
 //!   model **once per epoch** before the per-VM loop and reuses all of its
 //!   epoch scratch (behaviour map, per-app groupings, peer buffers, the
 //!   analyzer window), so the steady-state warning sweep allocates nothing;
-//! * [`synthetic::SyntheticBenchmark::train`] resolves its training samples
-//!   on scoped threads with counter-derived per-sample RNG streams —
-//!   bit-identical output for any thread count (`DEEPDIVE_TRAIN_THREADS`).
+//! * [`synthetic::SyntheticBenchmark::train`] draws its training samples
+//!   from counter-derived per-sample RNG streams, so
+//!   [`synthetic::SyntheticBenchmark::train_with_pool`] fans them over a
+//!   worker pool with bit-identical output.
 //!
 //! `cargo bench -p bench --bench controller_throughput` measures this
 //! against a frozen copy of the clone-and-cold-refit path
@@ -83,7 +84,7 @@
 //! // model present, so analyses never compare counters across models.
 //! let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
 //! // One seed determines every VM's demand stream; the engine can also run
-//! // `ExecutionMode::Sharded { threads }` with bit-identical results.
+//! // `ExecutionMode::Pooled { threads }` with bit-identical results.
 //! let engine = EpochEngine::serial(ClusterSeed::new(1));
 //!
 //! // Learn normal behaviour for a while...

@@ -22,8 +22,8 @@
 //! FSB-attached Xeon than on a QuickPath i7, and the manager sees that.
 
 use cloudsim::{PmId, Topology, VmId};
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
+use hwsim::contention::PlacedDemand;
+use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
 use serde::{Deserialize, Serialize};
 
 use crate::cpi_stack::Resource;
@@ -163,18 +163,33 @@ impl PlacementManager {
     /// residents, resolve one epoch *on the candidate's own hardware model*,
     /// and report the worst fractional slowdown relative to each workload
     /// running uncontended there.
+    ///
+    /// `resolver` must be built for the candidate's machine model; callers
+    /// scoring several candidates reuse one resolver per model, so every
+    /// resolve after the first is allocation-free on the scratch side.
+    ///
+    /// # Panics
+    /// Panics if `resolver` was built for a different machine spec than the
+    /// candidate's.
     pub fn predict_on_candidate(
         &self,
+        resolver: &mut EpochResolver,
         clone_demand: &ResourceDemand,
         clone_vcpus: usize,
         candidate: &CandidateMachine,
     ) -> f64 {
         let spec = &candidate.spec;
+        assert!(
+            resolver.spec() == spec,
+            "resolver built for {:?}, candidate {} is a {:?}",
+            resolver.spec().name,
+            candidate.pm_id,
+            spec.name
+        );
         // Baselines: every demand resolved alone on an idle machine of the
         // candidate's model.
-        let solo_fraction = |demand: &ResourceDemand, vcpus: usize| -> f64 {
-            resolve_epoch(spec, &[PlacedDemand::new(0, demand.clone(), vcpus, 0)])[0]
-                .achieved_fraction
+        let mut solo_fraction = |demand: &ResourceDemand, vcpus: usize| -> f64 {
+            resolver.resolve(&[PlacedDemand::new(0, demand.clone(), vcpus, 0)])[0].achieved_fraction
         };
 
         let mut placements = Vec::with_capacity(candidate.resident_demands.len() + 1);
@@ -197,7 +212,7 @@ impl PlacementManager {
         ));
         baselines.push(solo_fraction(clone_demand, clone_vcpus));
 
-        let outcomes = resolve_epoch(spec, &placements);
+        let outcomes = resolver.resolve(&placements);
         outcomes
             .iter()
             .zip(&baselines)
@@ -242,18 +257,31 @@ impl PlacementManager {
         let clone_inputs = benchmark.mimic(&aggressor.behavior, aggressor.demand.instructions);
         let clone_demand = clone_inputs.demand();
 
-        let mut predictions: Vec<CandidatePrediction> = candidates
+        // One resolver per machine model among the candidates, reused
+        // across every candidate of that model.
+        let mut resolvers: Vec<EpochResolver> = Vec::new();
+        let mut predictions: Vec<CandidatePrediction> = Vec::new();
+        for c in candidates
             .iter()
             .filter(|c| c.free_cores >= aggressor.vcpus)
-            .map(|c| CandidatePrediction {
+        {
+            let index = match resolvers.iter().position(|r| r.spec() == &c.spec) {
+                Some(index) => index,
+                None => {
+                    resolvers.push(EpochResolver::new(c.spec.clone()));
+                    resolvers.len() - 1
+                }
+            };
+            predictions.push(CandidatePrediction {
                 pm_id: c.pm_id,
                 predicted_interference: self.predict_on_candidate(
+                    &mut resolvers[index],
                     &clone_demand,
                     aggressor.vcpus,
                     c,
                 ),
-            })
-            .collect();
+            });
+        }
         predictions.sort_by_key(|p| p.pm_id);
 
         let best_of = |preds: &mut dyn Iterator<Item = &CandidatePrediction>| {
@@ -383,8 +411,9 @@ mod tests {
         let clone_demand = busy_memory_demand();
         let empty = xeon_candidate(1, vec![], 8);
         let loaded = xeon_candidate(2, vec![busy_memory_demand(), quiet_demand()], 4);
-        let empty_pred = m.predict_on_candidate(&clone_demand, 2, &empty);
-        let loaded_pred = m.predict_on_candidate(&clone_demand, 2, &loaded);
+        let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
+        let empty_pred = m.predict_on_candidate(&mut resolver, &clone_demand, 2, &empty);
+        let loaded_pred = m.predict_on_candidate(&mut resolver, &clone_demand, 2, &loaded);
         assert!(empty_pred < 0.05, "empty machine prediction {empty_pred}");
         assert!(
             loaded_pred > empty_pred,
@@ -411,8 +440,18 @@ mod tests {
             resident_demands: residents,
             free_cores: 6,
         };
-        let on_xeon = m.predict_on_candidate(&clone_demand, 2, &xeon);
-        let on_i7 = m.predict_on_candidate(&clone_demand, 2, &i7);
+        let on_xeon = m.predict_on_candidate(
+            &mut EpochResolver::new(xeon.spec.clone()),
+            &clone_demand,
+            2,
+            &xeon,
+        );
+        let on_i7 = m.predict_on_candidate(
+            &mut EpochResolver::new(i7.spec.clone()),
+            &clone_demand,
+            2,
+            &i7,
+        );
         assert!(
             (on_xeon - on_i7).abs() > 0.05,
             "spec-blind prediction: xeon {on_xeon} vs i7 {on_i7}"
@@ -424,14 +463,10 @@ mod tests {
         let m = manager();
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         // The aggressor is a cache hog; the victim is quiet.
-        let spec = MachineSpec::xeon_x5472();
-        let contended = resolve_epoch(
-            &spec,
-            &[
-                PlacedDemand::new(1, quiet_demand(), 2, 0),
-                PlacedDemand::new(2, busy_memory_demand(), 2, 0),
-            ],
-        );
+        let contended = EpochResolver::new(MachineSpec::xeon_x5472()).resolve(&[
+            PlacedDemand::new(1, quiet_demand(), 2, 0),
+            PlacedDemand::new(2, busy_memory_demand(), 2, 0),
+        ]);
         let residents = vec![
             ResidentVm {
                 vm_id: VmId(1),

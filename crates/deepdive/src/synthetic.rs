@@ -18,7 +18,7 @@
 use analytics::regression::{invert_inputs, LinearRegression};
 use cloudsim::pool::{split_balanced, WorkerPool};
 use cloudsim::rngs::splitmix64;
-use hwsim::contention::{resolve_epoch, EpochOutcome, PlacedDemand};
+use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,84 +125,26 @@ impl SyntheticBenchmark {
     /// training phase): samples the input space, runs each sample solo on the
     /// machine model, and fits inputs → normalized metrics.
     ///
-    /// Training samples are independent solo resolves, so they run on
-    /// scoped threads: `DEEPDIVE_TRAIN_THREADS` selects the width (default:
-    /// all available cores).  Each sample draws from its own counter-derived
-    /// RNG stream — a pure function of `(seed, sample index)`, the same
-    /// SplitMix64 construction as `cloudsim::ClusterSeed` — so the fitted
-    /// model is **bit-identical for any thread count**.
+    /// Each sample draws from its own counter-derived RNG stream — a pure
+    /// function of `(seed, sample index)`, the same SplitMix64 construction
+    /// as `cloudsim::ClusterSeed` — so this serial path and
+    /// [`Self::train_with_pool`] fit **bit-identical** models.
     ///
     /// # Panics
     /// Panics if `samples` is smaller than the number of input knobs.
     pub fn train(spec: MachineSpec, samples: usize, seed: u64) -> Self {
-        Self::train_with_threads(spec, samples, seed, trainer_threads())
-    }
-
-    /// [`Self::train`] with an explicit thread count (1 = serial).  Output
-    /// is bit-identical across thread counts; the env-driven default lives
-    /// in [`Self::train`].
-    pub fn train_with_threads(
-        spec: MachineSpec,
-        samples: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
         assert!(samples >= 8, "training needs at least a handful of samples");
-        let threads = threads.clamp(1, samples);
-        let mut inputs = vec![Vec::new(); samples];
-        let mut outputs = vec![Vec::new(); samples];
-        if threads == 1 {
-            // One resolver serves every training run: each sample is a solo
-            // resolve on the same machine model, so all scratch is shared.
-            let mut resolver = EpochResolver::new(spec.clone());
-            let mut outcomes = Vec::with_capacity(1);
-            for (index, (input, output)) in inputs.iter_mut().zip(outputs.iter_mut()).enumerate() {
-                (*input, *output) = resolve_sample(seed, index, &mut resolver, &mut outcomes);
-            }
-        } else {
-            // Contiguous sample chunks on scoped threads, merged in index
-            // order by construction (each thread writes its own chunk).
-            let chunk = samples.div_ceil(threads);
-            let spec_ref = &spec;
-            std::thread::scope(|scope| {
-                for (t, (input_chunk, output_chunk)) in inputs
-                    .chunks_mut(chunk)
-                    .zip(outputs.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        let mut resolver = EpochResolver::new(spec_ref.clone());
-                        let mut outcomes = Vec::with_capacity(1);
-                        let base = t * chunk;
-                        for (offset, (input, output)) in input_chunk
-                            .iter_mut()
-                            .zip(output_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            (*input, *output) =
-                                resolve_sample(seed, base + offset, &mut resolver, &mut outcomes);
-                        }
-                    });
-                }
-            });
-        }
-        let model = LinearRegression::fit(&inputs, &outputs, 1e-6);
-        let training_error = model.mse(&inputs, &outputs);
-        Self {
-            spec,
-            model,
-            training_error,
-        }
+        let (inputs, outputs) = resolve_samples(&spec, seed, 0..samples);
+        Self::fit(spec, &inputs, &outputs)
     }
 
-    /// [`Self::train`] running its sample resolves on a persistent
-    /// [`WorkerPool`] instead of freshly spawned scoped threads — the form
-    /// the DeepDive controller uses so lazy in-episode training rides the
-    /// epoch engine's pool rather than paying thread churn.
+    /// [`Self::train`] with its sample resolves fanned over a persistent
+    /// [`WorkerPool`] — the form the DeepDive controller uses so lazy
+    /// in-episode training rides the epoch engine's pool.
     ///
-    /// Bit-identical to every other training path: each sample is a pure
-    /// function of `(seed, index)`, and balanced contiguous chunks preserve
-    /// index order no matter which worker resolves them.
+    /// Bit-identical to [`Self::train`]: each sample is a pure function of
+    /// `(seed, index)`, and balanced contiguous chunks preserve index order
+    /// no matter which worker resolves them.
     ///
     /// # Panics
     /// Panics if `samples` is smaller than the number of input knobs.
@@ -213,43 +155,24 @@ impl SyntheticBenchmark {
         pool: &WorkerPool,
     ) -> Self {
         assert!(samples >= 8, "training needs at least a handful of samples");
-        let lanes = pool.lanes().clamp(1, samples);
-        if lanes <= 1 {
-            return Self::train_with_threads(spec, samples, seed, 1);
-        }
-        let mut inputs = vec![Vec::new(); samples];
-        let mut outputs = vec![Vec::new(); samples];
+        let mut indices: Vec<usize> = (0..samples).collect();
+        let mut chunks = split_balanced(&mut indices, pool.lanes());
+        let (mut inputs, mut outputs) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+        for (chunk_inputs, chunk_outputs) in pool
+            .scatter_map(&mut chunks, &|chunk: &mut &mut [usize]| {
+                resolve_samples(&spec, seed, chunk.iter().copied())
+            })
         {
-            let spec_ref = &spec;
-            // Equal-length slices split the same way yield index-aligned
-            // chunk pairs; each job owns one pair plus its base offset.
-            let input_chunks = split_balanced(&mut inputs, lanes);
-            let output_chunks = split_balanced(&mut outputs, lanes);
-            let mut base = 0usize;
-            let jobs: Vec<_> = input_chunks
-                .into_iter()
-                .zip(output_chunks)
-                .map(|(input_chunk, output_chunk)| {
-                    let start = base;
-                    base += input_chunk.len();
-                    move || {
-                        let mut resolver = EpochResolver::new(spec_ref.clone());
-                        let mut outcomes = Vec::with_capacity(1);
-                        for (offset, (input, output)) in input_chunk
-                            .iter_mut()
-                            .zip(output_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            (*input, *output) =
-                                resolve_sample(seed, start + offset, &mut resolver, &mut outcomes);
-                        }
-                    }
-                })
-                .collect();
-            pool.scatter(jobs);
+            inputs.extend(chunk_inputs);
+            outputs.extend(chunk_outputs);
         }
-        let model = LinearRegression::fit(&inputs, &outputs, 1e-6);
-        let training_error = model.mse(&inputs, &outputs);
+        Self::fit(spec, &inputs, &outputs)
+    }
+
+    /// Fits the inputs → metrics regression over resolved training samples.
+    fn fit(spec: MachineSpec, inputs: &[Vec<f64>], outputs: &[Vec<f64>]) -> Self {
+        let model = LinearRegression::fit(inputs, outputs, 1e-6);
+        let training_error = model.mse(inputs, outputs);
         Self {
             spec,
             model,
@@ -266,9 +189,11 @@ impl SyntheticBenchmark {
     /// Runs the benchmark with given inputs alone on the machine model and
     /// returns the observed normalized behaviour.
     pub fn run_solo(spec: &MachineSpec, inputs: &BenchmarkInputs) -> BehaviorVector {
-        let vcpus = inputs.parallelism.ceil().max(1.0) as usize;
-        let out = resolve_epoch(spec, &[PlacedDemand::new(0, inputs.demand(), vcpus, 0)]);
-        BehaviorVector::from_counters(&out[0].counters)
+        run_solo_with(
+            &mut EpochResolver::new(spec.clone()),
+            inputs,
+            &mut Vec::with_capacity(1),
+        )
     }
 
     /// Mean squared error of the trained regression on its own training set
@@ -361,35 +286,33 @@ impl SyntheticBenchmark {
     }
 }
 
-/// Trainer width: `DEEPDIVE_TRAIN_THREADS` if set (minimum 1), otherwise
-/// every available core.
-fn trainer_threads() -> usize {
-    std::env::var("DEEPDIVE_TRAIN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|t| t.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-}
-
-/// Draws and resolves one training sample from its own counter-derived
-/// stream: a pure function of `(seed, index)`, independent of the thread it
-/// runs on and of every other sample.
-fn resolve_sample(
+/// Draws and resolves the training samples at `indices` through one shared
+/// resolver, returning their `(inputs, behaviour)` vectors in index order.
+/// Each sample draws from its own counter-derived stream: a pure function of
+/// `(seed, index)`, independent of the thread it runs on and of every other
+/// sample.
+fn resolve_samples(
+    spec: &MachineSpec,
     seed: u64,
-    index: usize,
-    resolver: &mut EpochResolver,
-    outcomes: &mut Vec<EpochOutcome>,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(index as u64)));
-    let raw: Vec<f64> = BenchmarkInputs::BOUNDS
-        .iter()
-        .map(|(lo, hi)| rng.gen_range(*lo..=*hi))
-        .collect();
-    let sample = BenchmarkInputs::from_vec(&raw);
-    let behavior = run_solo_with(resolver, &sample, outcomes);
-    (raw, behavior.to_vec())
+    indices: impl Iterator<Item = usize>,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut resolver = EpochResolver::new(spec.clone());
+    let mut outcomes = Vec::with_capacity(1);
+    indices
+        .map(|index| {
+            let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(index as u64)));
+            let raw: Vec<f64> = BenchmarkInputs::BOUNDS
+                .iter()
+                .map(|(lo, hi)| rng.gen_range(*lo..=*hi))
+                .collect();
+            let behavior = run_solo_with(
+                &mut resolver,
+                &BenchmarkInputs::from_vec(&raw),
+                &mut outcomes,
+            );
+            (raw, behavior.to_vec())
+        })
+        .unzip()
 }
 
 /// Solo run of the benchmark through a reusable resolver — the hot-path form
@@ -544,28 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_is_bit_identical_across_thread_counts() {
-        let spec = MachineSpec::xeon_x5472();
-        let serial = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, 1);
-        for threads in [2usize, 8] {
-            let parallel = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, threads);
-            assert_eq!(
-                serial.model(),
-                parallel.model(),
-                "{threads}-thread training diverged from serial"
-            );
-            assert_eq!(
-                serial.training_error().to_bits(),
-                parallel.training_error().to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn pool_training_is_bit_identical_to_serial() {
         let spec = MachineSpec::xeon_x5472();
-        let serial = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, 1);
-        for workers in [0usize, 1, 3] {
+        let serial = SyntheticBenchmark::train(spec.clone(), 64, 11);
+        for workers in [0usize, 1, 2, 3] {
             let pool = WorkerPool::new(workers);
             let pooled = SyntheticBenchmark::train_with_pool(spec.clone(), 64, 11, &pool);
             assert_eq!(
@@ -583,8 +488,8 @@ mod tests {
     #[test]
     fn thread_counts_beyond_sample_count_are_clamped() {
         let spec = MachineSpec::xeon_x5472();
-        let narrow = SyntheticBenchmark::train_with_threads(spec.clone(), 8, 5, 1);
-        let wide = SyntheticBenchmark::train_with_threads(spec, 8, 5, 64);
+        let narrow = SyntheticBenchmark::train(spec.clone(), 8, 5);
+        let wide = SyntheticBenchmark::train_with_pool(spec, 8, 5, &WorkerPool::for_threads(12));
         assert_eq!(narrow.model(), wide.model());
     }
 

@@ -1,6 +1,6 @@
-//! Epoch-resolution types and one-shot entry points: combining the cache,
-//! bus, disk, NIC and core models into a single answer per VM — how much work
-//! completed, where the cycles went, and what the Table 1 counters read.
+//! Epoch-resolution types: combining the cache, bus, disk, NIC and core
+//! models into a single answer per VM — how much work completed, where the
+//! cycles went, and what the Table 1 counters read.
 //!
 //! This is the boundary between the "hardware" and everything above it:
 //!
@@ -11,24 +11,16 @@
 //!   the resolver emits.
 //!
 //! The resolution pipeline itself lives in [`crate::resolver`]: a reusable
-//! [`EpochResolver`] owns all scratch state so that the hot path — every
-//! epoch of every simulated machine — allocates nothing.  [`resolve_epoch`]
-//! and [`resolve_epoch_with_duration`] remain as thin compatibility wrappers
-//! that delegate to a thread-local resolver (rebuilt only when the machine
-//! spec changes), so one-shot call sites keep their original signature while
-//! still amortizing scratch allocations across calls.
+//! [`EpochResolver`](crate::resolver::EpochResolver) owns all scratch state
+//! so that the hot path — every epoch of every simulated machine —
+//! allocates nothing.
 //!
 //! The resolver also returns a ground-truth [`StallBreakdown`] per VM, which
 //! the evaluation harness uses to validate the analyzer's *estimated*
 //! CPI-stack attribution (Fig. 6) without DeepDive ever reading it.
 
-use std::cell::RefCell;
-
 use crate::counters::CounterSnapshot;
 use crate::demand::{AsDemand, ResourceDemand};
-use crate::machine::MachineSpec;
-use crate::resolver::EpochResolver;
-use crate::EPOCH_SECONDS;
 
 /// A VM's demand placed on specific machine resources for one epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,54 +117,15 @@ pub struct EpochOutcome {
     pub breakdown: StallBreakdown,
 }
 
-thread_local! {
-    /// Resolver shared by the one-shot wrappers below, so that repeated
-    /// `resolve_epoch` calls on the same machine spec reuse scratch buffers
-    /// instead of re-allocating them (the pre-resolver behaviour).
-    static SHARED_RESOLVER: RefCell<Option<EpochResolver>> = const { RefCell::new(None) };
-}
-
-/// Resolves one epoch of execution for every VM placed on a machine.
-///
-/// The returned vector is index-aligned with `placements`.
-///
-/// This is a compatibility wrapper over [`EpochResolver`] using a
-/// thread-local resolver instance; call sites that resolve many epochs on a
-/// machine they own should hold their own resolver and use
-/// [`EpochResolver::resolve_into`] to also reuse the output vector.
-///
-/// # Panics
-/// Panics if the machine spec or any demand is malformed, or if a placement
-/// names a cache group the machine does not have.
-pub fn resolve_epoch(spec: &MachineSpec, placements: &[PlacedDemand]) -> Vec<EpochOutcome> {
-    resolve_epoch_with_duration(spec, placements, EPOCH_SECONDS)
-}
-
-/// Same as [`resolve_epoch`] but with an explicit epoch duration in seconds.
-pub fn resolve_epoch_with_duration(
-    spec: &MachineSpec,
-    placements: &[PlacedDemand],
-    epoch_seconds: f64,
-) -> Vec<EpochOutcome> {
-    SHARED_RESOLVER.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let rebuild = match slot.as_ref() {
-            Some(resolver) => resolver.spec() != spec,
-            None => true,
-        };
-        if rebuild {
-            *slot = Some(EpochResolver::new(spec.clone()));
-        }
-        let resolver = slot.as_mut().expect("resolver built above");
-        let mut out = Vec::with_capacity(placements.len());
-        resolver.resolve_into(placements, epoch_seconds, &mut out);
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineSpec;
+    use crate::resolver::EpochResolver;
+
+    fn resolve(spec: &MachineSpec, placements: &[PlacedDemand]) -> Vec<EpochOutcome> {
+        EpochResolver::new(spec.clone()).resolve(placements)
+    }
 
     fn cache_victim() -> ResourceDemand {
         ResourceDemand::builder()
@@ -208,13 +161,13 @@ mod tests {
     #[test]
     fn empty_placement_resolves_to_nothing() {
         let spec = MachineSpec::xeon_x5472();
-        assert!(resolve_epoch(&spec, &[]).is_empty());
+        assert!(resolve(&spec, &[]).is_empty());
     }
 
     #[test]
     fn solo_vm_on_idle_machine_keeps_up() {
         let spec = MachineSpec::xeon_x5472();
-        let out = resolve_epoch(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
+        let out = resolve(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].vm_id, 1);
         assert!(
@@ -229,8 +182,8 @@ mod tests {
     #[test]
     fn cache_interference_reduces_retired_instructions_and_grows_stalls() {
         let spec = MachineSpec::xeon_x5472();
-        let solo = resolve_epoch(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
-        let shared = resolve_epoch(
+        let solo = resolve(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
+        let shared = resolve(
             &spec,
             &[
                 PlacedDemand::new(1, cache_victim(), 2, 0),
@@ -252,14 +205,14 @@ mod tests {
     #[test]
     fn separate_cache_groups_isolate_cache_interference() {
         let spec = MachineSpec::xeon_x5472();
-        let same = resolve_epoch(
+        let same = resolve(
             &spec,
             &[
                 PlacedDemand::new(1, cache_victim(), 2, 0),
                 PlacedDemand::new(2, cache_aggressor(), 2, 0),
             ],
         );
-        let split = resolve_epoch(
+        let split = resolve(
             &spec,
             &[
                 PlacedDemand::new(1, cache_victim(), 2, 0),
@@ -281,8 +234,8 @@ mod tests {
             .net_tx_mb(40.0)
             .parallelism(2.0)
             .build();
-        let solo = resolve_epoch(&spec, &[PlacedDemand::new(1, victim.clone(), 2, 0)]);
-        let shared = resolve_epoch(
+        let solo = resolve(&spec, &[PlacedDemand::new(1, victim.clone(), 2, 0)]);
+        let shared = resolve(
             &spec,
             &[
                 PlacedDemand::new(1, victim, 2, 0),
@@ -304,7 +257,7 @@ mod tests {
             .disk_read_mb(500.0)
             .net_tx_mb(500.0)
             .build();
-        let out = resolve_epoch(&spec, &[PlacedDemand::new(1, heavy, 2, 0)]);
+        let out = resolve(&spec, &[PlacedDemand::new(1, heavy, 2, 0)]);
         assert!(out[0].achieved_fraction > 0.0);
         assert!(out[0].achieved_fraction < 1.0);
         assert!(out[0].counters.is_well_formed());
@@ -313,7 +266,7 @@ mod tests {
     #[test]
     fn breakdown_per_instruction_cycles_has_four_components() {
         let spec = MachineSpec::xeon_x5472();
-        let out = resolve_epoch(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
+        let out = resolve(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 0)]);
         let cpis = out[0]
             .breakdown
             .per_instruction_cycles(spec.clock_hz, out[0].demanded_instructions);
@@ -347,7 +300,7 @@ mod tests {
             PlacedDemand::new(1, hog.clone(), 2, 0),
             PlacedDemand::new(2, hog, 2, 1),
         ];
-        let out = resolve_epoch(&spec, &placements);
+        let out = resolve(&spec, &placements);
         let disk = resolve_disk(
             spec.disk_seq_mbps,
             spec.disk_rand_mbps,
@@ -374,13 +327,13 @@ mod tests {
     #[should_panic(expected = "cache group")]
     fn invalid_cache_group_is_rejected() {
         let spec = MachineSpec::xeon_x5472();
-        resolve_epoch(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 99)]);
+        resolve(&spec, &[PlacedDemand::new(1, cache_victim(), 2, 99)]);
     }
 
     #[test]
     #[should_panic(expected = "zero vCPUs")]
     fn zero_vcpus_is_rejected() {
         let spec = MachineSpec::xeon_x5472();
-        resolve_epoch(&spec, &[PlacedDemand::new(1, cache_victim(), 0, 0)]);
+        resolve(&spec, &[PlacedDemand::new(1, cache_victim(), 0, 0)]);
     }
 }

@@ -36,38 +36,36 @@
 //! * [`nic`] — NIC fair-share bandwidth model.
 //! * [`core`] — in-core execution model (base CPI, branch misses).
 //! * [`contention`] — epoch-resolution types ([`contention::PlacedDemand`],
-//!   [`contention::EpochOutcome`]) and the one-shot `resolve_epoch` wrappers.
+//!   [`contention::EpochOutcome`]).
 //! * [`resolver`] — [`resolver::EpochResolver`], the reusable allocation-free
-//!   pipeline behind those wrappers; hot call sites hold one per machine and
-//!   call `resolve_into` every epoch.
+//!   resolution pipeline; hot call sites hold one per machine and call
+//!   `resolve_into` every epoch.
 //!
 //! ## Example
 //!
 //! ```
 //! use hwsim::machine::MachineSpec;
 //! use hwsim::demand::ResourceDemand;
-//! use hwsim::contention::{resolve_epoch, PlacedDemand};
+//! use hwsim::contention::PlacedDemand;
+//! use hwsim::resolver::EpochResolver;
 //!
-//! let spec = MachineSpec::xeon_x5472();
+//! let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
 //! // A cache-friendly VM alone on the machine...
 //! let friendly = ResourceDemand::builder()
 //!     .instructions(2.0e9)
 //!     .working_set_mb(4.0)
 //!     .build();
-//! let alone = resolve_epoch(&spec, &[PlacedDemand::new(0, friendly.clone(), 2, 0)]);
+//! let alone = resolver.resolve(&[PlacedDemand::new(0, friendly.clone(), 2, 0)]);
 //! // ...and the same VM next to a cache-thrashing aggressor.
 //! let aggressor = ResourceDemand::builder()
 //!     .instructions(2.0e9)
 //!     .working_set_mb(512.0)
 //!     .llc_mpki_solo(30.0)
 //!     .build();
-//! let together = resolve_epoch(
-//!     &spec,
-//!     &[
-//!         PlacedDemand::new(0, friendly, 2, 0),
-//!         PlacedDemand::new(1, aggressor, 2, 0),
-//!     ],
-//! );
+//! let together = resolver.resolve(&[
+//!     PlacedDemand::new(0, friendly, 2, 0),
+//!     PlacedDemand::new(1, aggressor, 2, 0),
+//! ]);
 //! assert!(together[0].counters.inst_retired <= alone[0].counters.inst_retired);
 //! ```
 
@@ -82,7 +80,7 @@ pub mod membus;
 pub mod nic;
 pub mod resolver;
 
-pub use contention::{resolve_epoch, EpochOutcome, PlacedDemand};
+pub use contention::{EpochOutcome, PlacedDemand};
 pub use counters::CounterSnapshot;
 pub use demand::{AsDemand, ResourceDemand};
 pub use machine::MachineSpec;

@@ -1,12 +1,11 @@
 //! Reusable, allocation-free epoch resolver.
 //!
-//! [`resolve_epoch`](crate::contention::resolve_epoch) is the hottest function
-//! in the whole simulation: every epoch of every machine in every bench kernel
-//! funnels through it, and the original implementation re-allocated roughly a
-//! dozen intermediate vectors per call (per-group membership lists, demand
-//! reference slices, miss vectors, per-device outcome vectors, the result
-//! itself) and re-derived cache-group membership with one filtering pass per
-//! group.
+//! Epoch resolution is the hottest function in the whole simulation: every
+//! epoch of every machine in every bench kernel funnels through it, and the
+//! original implementation re-allocated roughly a dozen intermediate vectors
+//! per call (per-group membership lists, demand reference slices, miss
+//! vectors, per-device outcome vectors, the result itself) and re-derived
+//! cache-group membership with one filtering pass per group.
 //!
 //! [`EpochResolver`] is the batch-friendly replacement: a stateful object
 //! built once per [`MachineSpec`] that owns every scratch buffer the pipeline
@@ -21,10 +20,9 @@
 //! proptest suite.
 //!
 //! Call sites that resolve many epochs (the `cloudsim` physical machine, the
-//! sandbox replayer, synthetic-benchmark training, the figure benches) hold a
-//! resolver and reuse it; one-shot callers keep using the thin
-//! [`resolve_epoch`](crate::contention::resolve_epoch) wrappers, which
-//! delegate to a thread-local resolver.
+//! sandbox replayer, synthetic-benchmark training, placement scoring, the
+//! figure benches) hold a resolver and reuse it; one-shot callers build one
+//! and call [`EpochResolver::resolve`].
 
 use crate::cache::{resolve_cache_group_members_into, CacheScratch};
 use crate::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
@@ -286,7 +284,6 @@ impl EpochResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contention::resolve_epoch_with_duration;
     use crate::demand::ResourceDemand;
 
     fn demand(instr: f64, ws: f64) -> ResourceDemand {
@@ -312,12 +309,15 @@ mod tests {
         ];
         let second = [PlacedDemand::new(9, demand(1.0e9, 64.0), 4, 3)];
         // Interleave two different placements through the same resolver and
-        // check each against the one-shot path: reuse must not leak state.
+        // check each against a fresh resolver's one-shot `resolve` wrapper:
+        // reuse must not leak state.
+        let fresh =
+            |placements: &[PlacedDemand]| EpochResolver::new(spec.clone()).resolve(placements);
         for _ in 0..3 {
-            resolver.resolve_into(&first, 1.0, &mut out);
-            assert_eq!(out, resolve_epoch_with_duration(&spec, &first, 1.0));
-            resolver.resolve_into(&second, 0.5, &mut out);
-            assert_eq!(out, resolve_epoch_with_duration(&spec, &second, 0.5));
+            resolver.resolve_into(&first, EPOCH_SECONDS, &mut out);
+            assert_eq!(out, fresh(&first));
+            resolver.resolve_into(&second, EPOCH_SECONDS, &mut out);
+            assert_eq!(out, fresh(&second));
         }
     }
 

@@ -3,7 +3,7 @@
 //! The resolver refactor is a pure optimisation: it must change *no
 //! observable outcome*.  This suite pins that property by keeping a frozen
 //! copy of the pre-refactor allocating pipeline (`reference_resolve` below —
-//! the old `resolve_epoch_with_duration` body, composed from the public
+//! the old allocating resolve body, composed from the public
 //! per-device model functions) and asserting, over arbitrary well-formed
 //! placements, that a **reused** resolver produces bit-identical
 //! [`EpochOutcome`]s: exact `f64` equality via `PartialEq`, not approximate
@@ -24,7 +24,7 @@
 //! placements.
 
 use hwsim::cache::resolve_cache_group;
-use hwsim::contention::{resolve_epoch_with_duration, EpochOutcome, PlacedDemand, StallBreakdown};
+use hwsim::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
 use hwsim::core::core_cycles;
 use hwsim::counters::CounterSnapshot;
 use hwsim::disk::resolve_disk;
@@ -39,7 +39,7 @@ const LOAD_FRACTION: f64 = 0.7;
 /// Frozen copy of the pre-refactor allocating resolution pipeline.
 ///
 /// The same copy serves as the timing baseline in
-/// `crates/bench/benches/resolver_throughput.rs` (`allocating_resolve_epoch`
+/// `crates/bench/benches/resolver_throughput.rs` (`allocating_resolve`
 /// there); if one of them ever has to change, change both.
 fn reference_resolve(
     spec: &MachineSpec,
@@ -248,9 +248,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A reused `EpochResolver` (scratch polluted by an interleaved resolve
-    /// of a different placement) and the thread-local `resolve_epoch` wrapper
-    /// both produce outcomes bit-identical to the frozen pre-refactor path,
-    /// on both machine models.
+    /// of a different placement) produces outcomes bit-identical to the
+    /// frozen pre-refactor path, on both machine models.
     #[test]
     fn resolver_is_bit_identical_to_the_prerefactor_path(
         placements in placements_strategy(),
@@ -267,9 +266,6 @@ proptest! {
             resolver.resolve_into(&pollution, 1.0, &mut out);
             resolver.resolve_into(&placements, epoch, &mut out);
             prop_assert_eq!(&out, &expected);
-
-            let via_wrapper = resolve_epoch_with_duration(&spec, &placements, epoch);
-            prop_assert_eq!(&via_wrapper, &expected);
         }
     }
 

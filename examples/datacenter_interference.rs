@@ -12,7 +12,7 @@
 //! analyzed without cross-model counter bias; the run ends with a report of
 //! detections, false alarms, migrations and the per-pool profiling
 //! overhead.  Epochs are stepped by an `EpochEngine` honouring the
-//! `CLOUDSIM_THREADS` knob (serial and sharded runs print identical
+//! `CLOUDSIM_THREADS` knob (serial and pooled runs print identical
 //! numbers).
 //!
 //! Run with: `cargo run --release --example datacenter_interference`

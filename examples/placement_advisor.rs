@@ -13,8 +13,8 @@
 use deepdive::metrics::BehaviorVector;
 use deepdive::placement::{CandidateMachine, PlacementManager};
 use deepdive::synthetic::SyntheticBenchmark;
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::MachineSpec;
+use hwsim::contention::PlacedDemand;
+use hwsim::{EpochResolver, MachineSpec};
 use rand::SeedableRng;
 use workloads::{AppId, DataAnalytics, DataServing, MemoryStress, WebSearch, Workload};
 
@@ -28,10 +28,8 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let mut aggressor = MemoryStress::new(AppId(900), 256.0);
     let aggressor_demand = aggressor.next_demand(1.0, &mut rng);
-    let solo = resolve_epoch(
-        &spec,
-        &[PlacedDemand::new(0, aggressor_demand.clone(), 2, 0)],
-    );
+    let mut resolver = EpochResolver::new(spec.clone());
+    let solo = resolver.resolve(&[PlacedDemand::new(0, aggressor_demand.clone(), 2, 0)]);
     let behavior = BehaviorVector::from_counters(&solo[0].counters);
     let inputs = benchmark.mimic(&behavior, aggressor_demand.instructions);
     println!("synthetic clone inputs mimicking the VM: {inputs:#?}\n");
@@ -65,7 +63,7 @@ fn main() {
             resident_demands: vec![resident_demand],
             free_cores: 6,
         };
-        let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
+        let predicted = manager.predict_on_candidate(&mut resolver, &clone_demand, 2, &candidate);
         println!(
             "  {name:32} -> {:.1}% worst-case slowdown",
             predicted * 100.0

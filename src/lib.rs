@@ -65,13 +65,12 @@
 //!   needs — per-cache-group membership lists, effective-MPKI/miss vectors,
 //!   per-device outcome buffers — and exposing
 //!   `resolve_into(&mut self, placements, epoch_seconds, &mut out)`.
-//!   Steady-state resolution performs **zero heap allocations**. The
-//!   stateless `hwsim::contention::resolve_epoch` wrappers remain for
-//!   one-shot callers and delegate to a thread-local resolver.
+//!   Steady-state resolution performs **zero heap allocations**.
 //!   `cloudsim::pm::PhysicalMachine` holds its own resolver plus
 //!   demand/placement buffers across epochs; the sandbox replayer and
 //!   `deepdive`'s synthetic-benchmark training reuse one resolver across
-//!   all their solo runs. Measured by `cargo bench -p bench --bench
+//!   all their solo runs, and a placement decision builds one resolver per
+//!   candidate machine model. Measured by `cargo bench -p bench --bench
 //!   resolver_throughput` (dumps `BENCH_resolver.json`); pinned
 //!   bit-identical to the pre-refactor pipeline by
 //!   `crates/hwsim/tests/resolver_equivalence.rs`.
@@ -83,26 +82,23 @@
 //!   cannot perturb any other VM's stream (pinned by
 //!   `tests/engine_equivalence.rs`).
 //! * **The parallel epoch engine** — `cloudsim::engine::EpochEngine` steps
-//!   a cluster under `ExecutionMode::Serial`, `ExecutionMode::Sharded {
-//!   threads }` (scoped threads spawned per call — the baseline) or
-//!   `ExecutionMode::Pooled { threads }` (the production mode): a
-//!   persistent `cloudsim::WorkerPool` with per-worker queues and an
-//!   epoch-barrier scatter, stepping balanced contiguous machine shards
+//!   a cluster under `ExecutionMode::Serial` or
+//!   `ExecutionMode::Pooled { threads }`: a persistent
+//!   `cloudsim::WorkerPool` with per-worker queues and an epoch-barrier
+//!   scatter, stepping balanced contiguous machine shards
 //!   (`pool::split_balanced` — exactly `threads` shards whenever enough
-//!   machines exist) and merging reports in machine-index order, output
-//!   **bit-identical** across all modes (a proptest pins Serial vs
-//!   Sharded vs Pooled at several thread counts). The pool joins its
-//!   workers on drop, and a panicking shard reaches the barrier first,
-//!   then re-raises the original payload without poisoning the workers
-//!   (`tests/pool_lifecycle.rs`). `EpochEngine::step_epochs` batches a
-//!   whole epoch horizon into one handoff for callers that do not mutate
-//!   the cluster between epochs.
+//!   machines exist) and concatenating reports in machine-index order,
+//!   output **bit-identical** in both modes (a proptest pins Serial vs
+//!   Pooled at several thread counts). The pool joins its workers on
+//!   drop, and a panicking shard reaches the barrier first, then re-raises
+//!   the original payload without poisoning the workers
+//!   (`tests/pool_lifecycle.rs`).
 //!   The `CLOUDSIM_THREADS` env var selects the mode where callers defer
 //!   to `ExecutionMode::from_env()` (unset: `Pooled` over all available
 //!   cores; malformed values are a hard error, never a silent fallback).
 //!   Measured by `cargo bench -p bench --bench cluster_throughput`
-//!   (64–512-machine fleets at real density, serial vs sharded vs pooled
-//!   at 1/2/4/8 threads, plus migration churn; dumps `BENCH_cluster.json`
+//!   (64–512-machine fleets at real density, serial vs pooled at 2/4/8
+//!   threads, plus migration churn; dumps `BENCH_cluster.json`
 //!   with the runner's `available_parallelism`, and `threads > 1` rows on
 //!   a 1-core runner are flagged `overhead_only` so they are never
 //!   mistaken for scaling data).
@@ -131,9 +127,8 @@
 //!   serial loop by proptest), and synthetic-benchmark training fans out
 //!   too: across machine models at pretrain time
 //!   (`DeepDive::pretrain_benchmarks`) and across samples within one
-//!   model (`SyntheticBenchmark::train_with_pool`), on top of the older
-//!   scoped-thread path (`DEEPDIVE_TRAIN_THREADS`) — per-sample
-//!   SplitMix64 streams keep every variant bit-identical to serial.
+//!   model (`SyntheticBenchmark::train_with_pool`) — per-sample
+//!   SplitMix64 streams keep both bit-identical to serial training.
 //! * **Spec-aware sandbox fleets** — the analyzer's degradation estimate
 //!   divides production instruction rates by isolation rates, which is
 //!   only sound when the clone replays on the victim's host machine
@@ -281,7 +276,7 @@
 //!   contention monotonicity, queueing monotonicity),
 //! * `tests/persistence.rs` — repository JSON round-trip and the §5.5
 //!   "≈5 KB per VM per day" footprint bound,
-//! * `tests/engine_equivalence.rs` — proptest: serial, sharded and pooled
+//! * `tests/engine_equivalence.rs` — proptest: serial and pooled
 //!   stepping bit-identical over arbitrary placements/loads/epochs
 //!   (including thread counts that exceed or do not divide the machine
 //!   count), sparse stepping bit-identical to dense under randomized
@@ -289,13 +284,15 @@
 //!   never perturb other VMs' demand streams,
 //! * `tests/pool_lifecycle.rs` — worker-pool guarantees: drop joins every
 //!   worker (no leaked threads across repeated construction), degenerate
-//!   clusters step on the calling thread, zero-epoch batches are no-ops,
-//!   and a panicking shard propagates its original payload after the
-//!   barrier without advancing the epoch or poisoning the pool,
+//!   clusters step on the calling thread, zero-epoch advances are no-ops,
+//!   a panicking shard propagates its original payload after the barrier
+//!   without advancing the epoch or poisoning the pool, and an engine and
+//!   a controller sharing one oversubscribed pool run hundreds of short
+//!   episodes without a stall,
 //! * `tests/fault_tolerance.rs` — the chaos suite: randomized fault +
 //!   churn schedules (including random topologies, correlated rack/domain
 //!   outages and maintenance drains) through every execution mode with
-//!   the invariant audit green after every epoch, Serial/Sharded/Pooled
+//!   the invariant audit green after every epoch, Serial and Pooled
 //!   bit-identical under chaos, a disabled plane reproducing the
 //!   fault-free trajectory byte for byte, and deterministic hostile
 //!   schedules exercising every fault path (crashes, repairs,
@@ -314,8 +311,8 @@
 //!   under plain `cargo test`, not only under Criterion.
 //!
 //! CI runs the whole suite twice — once default (Serial engine pinned in
-//! tests) and once with `CLOUDSIM_THREADS=4 DEEPDIVE_TRAIN_THREADS=4` so
-//! the pooled engine and parallel trainer execute multi-threaded — with
+//! tests) and once with `CLOUDSIM_THREADS=4` so the pooled engine
+//! executes multi-threaded — with
 //! the fault-tolerance chaos suite called out as a named step in both
 //! lanes, and validates the four `BENCH_*.json` throughput dumps with
 //! `cargo run -p bench --bin check_bench_json` after the smoke steps.

@@ -3,12 +3,11 @@
 //!
 //! Two properties the parallel engine is built on:
 //!
-//! 1. **Mode equivalence** — `Serial`, `Sharded` (spawn-per-call scoped
-//!    threads) and `Pooled` (persistent worker pool) produce bit-identical
-//!    `VmEpochReport` sequences over arbitrary placements, loads and epoch
-//!    counts — including thread counts that exceed or do not divide the
-//!    machine count (the thread count is a throughput knob, never a results
-//!    knob).
+//! 1. **Mode equivalence** — `Serial` and `Pooled` (persistent worker pool)
+//!    produce bit-identical `VmEpochReport` sequences over arbitrary
+//!    placements, loads and epoch counts — including thread counts that
+//!    exceed or do not divide the machine count (the thread count is a
+//!    throughput knob, never a results knob).
 //! 2. **Stream independence** — a mid-run migration does not change any
 //!    VM's subsequent demand stream, because streams are derived per
 //!    `(vm, epoch)` from the cluster seed rather than threaded through a
@@ -88,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn serial_and_sharded_runs_are_bit_identical(
+    fn serial_and_pooled_runs_are_bit_identical(
         machines in 1usize..7,
         vms in 1usize..20,
         stride in 1usize..5,
@@ -98,8 +97,7 @@ proptest! {
     ) {
         let modes = [
             ExecutionMode::Serial,
-            ExecutionMode::Sharded { threads: 2 },
-            ExecutionMode::Sharded { threads: 8 },
+            ExecutionMode::Pooled { threads: 2 },
             ExecutionMode::Pooled { threads: 3 },
             ExecutionMode::Pooled { threads: 8 },
         ];
@@ -171,8 +169,8 @@ proptest! {
         let configs = [
             (false, ExecutionMode::Serial),
             (true, ExecutionMode::Serial),
-            (true, ExecutionMode::Sharded { threads: 3 }),
             (true, ExecutionMode::Pooled { threads: 2 }),
+            (true, ExecutionMode::Pooled { threads: 3 }),
         ];
         // Loads alternate between idle and busy in 3-epoch stretches per
         // VM, so quiescent stretches genuinely occur (and end) mid-run.

@@ -10,8 +10,8 @@
 //!   machines or lost, id→index maps consistent, capacity accounting
 //!   exact, parked VMs not resident, crashed machines empty
 //!   ([`DatacenterService::audit`]).
-//! * **Execution modes are bit-identical** — Serial, Sharded and Pooled
-//!   stepping produce byte-identical report streams, stats, retry queues
+//! * **Execution modes are bit-identical** — Serial and Pooled stepping, at
+//!   two and three lanes, produce byte-identical report streams, stats, retry queues
 //!   and final placements under the same fault schedule.
 //! * **A disabled plane is inert** — attaching a fault plane whose rates
 //!   are all zero reproduces the plane-less service trajectory byte for
@@ -101,7 +101,7 @@ proptest! {
     // the suite stays inside the tier-1 budget.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Serial, Sharded and Pooled stepping agree byte for byte on the
+    /// Serial and two- and three-lane Pooled stepping agree byte for byte on the
     /// entire trajectory — reports, stats, retry queue depth — under the
     /// same randomized fault + churn schedule, and every epoch of every
     /// mode passes the invariant audit.
@@ -118,14 +118,12 @@ proptest! {
         let serial = run_chaos(
             ExecutionMode::Serial, machines, cluster_seed, trace_seed, plane, epochs,
         );
-        let sharded = run_chaos(
-            ExecutionMode::Sharded { threads: 3 }, machines, cluster_seed, trace_seed, plane, epochs,
-        );
-        let pooled = run_chaos(
-            ExecutionMode::Pooled { threads: 2 }, machines, cluster_seed, trace_seed, plane, epochs,
-        );
-        prop_assert_eq!(&serial, &sharded, "Serial and Sharded diverged");
-        prop_assert_eq!(&serial, &pooled, "Serial and Pooled diverged");
+        for threads in [2, 3] {
+            let pooled = run_chaos(
+                ExecutionMode::Pooled { threads }, machines, cluster_seed, trace_seed, plane, epochs,
+            );
+            prop_assert_eq!(&serial, &pooled, "Serial and {}-lane Pooled diverged", threads);
+        }
         // Accounting sanity: every admitted VM is somewhere — departed,
         // resident, parked, or abandoned (an abandoned evacuee was admitted
         // once; its departure never fires).
@@ -214,24 +212,10 @@ fn correlated_outages_and_drains_survive_chaos_bit_identically() {
     let plane = Some(FaultPlane::new(0xDECAF, config));
     let epochs = 400;
     let serial = run_chaos(ExecutionMode::Serial, 4, 11, 11, plane, epochs);
-    let sharded = run_chaos(
-        ExecutionMode::Sharded { threads: 3 },
-        4,
-        11,
-        11,
-        plane,
-        epochs,
-    );
-    let pooled = run_chaos(
-        ExecutionMode::Pooled { threads: 2 },
-        4,
-        11,
-        11,
-        plane,
-        epochs,
-    );
-    assert_eq!(serial, sharded, "Serial and Sharded diverged");
-    assert_eq!(serial, pooled, "Serial and Pooled diverged");
+    for threads in [2, 3] {
+        let pooled = run_chaos(ExecutionMode::Pooled { threads }, 4, 11, 11, plane, epochs);
+        assert_eq!(serial, pooled, "Serial and {threads}-lane Pooled diverged");
+    }
 
     let (_, stats, _) = serial;
     // Correlated windows: with no independent crash stream configured,

@@ -1,6 +1,6 @@
 //! Lifecycle and panic-policy guarantees of the pooled epoch engine.
 //!
-//! The persistent worker pool behind `ExecutionMode::Pooled` carries three
+//! The persistent worker pool behind `ExecutionMode::Pooled` carries four
 //! promises beyond bit-identical results (those live in
 //! `tests/engine_equivalence.rs`):
 //!
@@ -8,18 +8,25 @@
 //!    constructing engines in a loop leaks no threads.
 //! 2. **Degenerate clusters degrade gracefully** — VM-less and
 //!    single-machine clusters step entirely on the calling thread, and a
-//!    zero-epoch batch is a no-op.
+//!    zero-epoch advance is a no-op.
 //! 3. **Panic containment** — a panicking `load_for` in a shard propagates
 //!    its original payload to the caller *after* the shard barrier, leaves
 //!    the cluster epoch counter un-advanced, and does **not** poison the
 //!    pool: the very next step on the same engine works and stays
 //!    bit-identical to serial.
+//! 4. **Memory safety under sharing** — an engine and a DeepDive controller
+//!    scattering on one three-lane pool (stepping, refits, lazy
+//!    benchmark training) never stall or crash, episode after episode.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, Scheduler, Vm, VmId};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmId};
+use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
+use deepdive::warning::WarningConfig;
 use hwsim::MachineSpec;
-use workloads::{AppId, ClientEmulator, DataServing};
+use workloads::{AppId, ClientEmulator, DataAnalytics, DataServing, MemoryStress, WebSearch};
 
 fn cluster(machines: usize, vms: usize) -> Cluster {
     let mut c = Cluster::homogeneous(machines, MachineSpec::xeon_x5472(), Scheduler::default());
@@ -62,10 +69,8 @@ fn dropping_pooled_engines_joins_all_workers() {
 
 #[test]
 fn degenerate_clusters_step_on_the_calling_thread() {
-    for mode in [
-        ExecutionMode::Pooled { threads: 8 },
-        ExecutionMode::Sharded { threads: 8 },
-    ] {
+    for threads in [2, 3, 8] {
+        let mode = ExecutionMode::Pooled { threads };
         let engine = EpochEngine::new(ClusterSeed::new(1), mode);
         // Empty cluster (machines but no VMs — Cluster rejects zero
         // machines at construction): no reports, epoch still counts.
@@ -89,16 +94,17 @@ fn degenerate_clusters_step_on_the_calling_thread() {
 
 #[test]
 fn zero_epoch_batches_are_no_ops() {
-    for mode in [
-        ExecutionMode::Serial,
-        ExecutionMode::Sharded { threads: 4 },
-        ExecutionMode::Pooled { threads: 4 },
-    ] {
+    for mode in [ExecutionMode::Serial, ExecutionMode::Pooled { threads: 4 }] {
         let engine = EpochEngine::new(ClusterSeed::new(9), mode);
         let mut c = cluster(3, 6);
-        let batches = engine.step_epochs(&mut c, 0, |_, _| 0.5);
-        assert!(batches.is_empty(), "zero epochs returned batches: {mode:?}");
-        assert_eq!(c.epoch(), 0, "zero-epoch batch advanced the epoch");
+        let summary = engine.advance_epochs(&mut c, 0, |_| 0.5);
+        assert_eq!(summary.vm_epochs, 0, "zero epochs did work: {mode:?}");
+        assert_eq!(c.epoch(), 0, "zero-epoch advance moved the epoch");
+        assert_eq!(
+            c.total_resolves(),
+            0,
+            "zero-epoch advance resolved: {mode:?}"
+        );
     }
 }
 
@@ -220,21 +226,97 @@ fn scatter_map_panic_leaks_no_arena_slots() {
     assert_eq!(Arc::strong_count(&token), 1);
 }
 
+/// One short closed-loop episode on a fresh three-lane engine whose pool
+/// the controller shares: a quiet warm-up that fits the warning models,
+/// then a cache aggressor next to machine 0's tenant, which drives
+/// analyses, lazy synthetic-benchmark training on the pool and a
+/// migration.  Returns the episode's migrations.
+fn shared_pool_episode(seed: u64) -> u64 {
+    const MACHINES: u64 = 6;
+    let mut cluster = Cluster::homogeneous(
+        MACHINES as usize,
+        MachineSpec::xeon_x5472(),
+        Scheduler::default(),
+    );
+    for pm in 0..MACHINES {
+        let vm = match pm % 3 {
+            0 => Vm::new(
+                VmId(pm),
+                Box::new(DataServing::with_defaults(AppId(1))),
+                ClientEmulator::new(8_000.0, 4.0),
+            ),
+            1 => Vm::new(
+                VmId(pm),
+                Box::new(WebSearch::with_defaults(AppId(2))),
+                ClientEmulator::new(1_200.0, 25.0),
+            ),
+            _ => Vm::new(
+                VmId(pm),
+                Box::new(DataAnalytics::worker(AppId(3))),
+                ClientEmulator::new(40.0, 400.0),
+            ),
+        };
+        cluster.place_on(PmId(pm), vm).expect("empty machine");
+    }
+    let engine = EpochEngine::new(ClusterSeed::new(seed), ExecutionMode::Pooled { threads: 3 });
+    let config = DeepDiveConfig {
+        analysis_window: 3,
+        analysis_cooldown: 3,
+        synthetic_training_samples: 24,
+        warning: WarningConfig {
+            min_behaviors_for_clustering: 4,
+            ..WarningConfig::default()
+        },
+        seed,
+        ..DeepDiveConfig::default()
+    };
+    let mut controller = DeepDive::for_cluster(config, &cluster);
+    controller.use_worker_pool(engine.worker_pool().expect("pooled engine").clone());
+    let mut migrations = 0;
+    for epoch in 0..36 {
+        if epoch == 12 {
+            let aggressor = Vm::new(
+                VmId(99),
+                Box::new(MemoryStress::new(AppId(900), 512.0)),
+                ClientEmulator::new(1.0, 1.0),
+            );
+            cluster
+                .place_on(PmId(0), aggressor)
+                .expect("room next to the tenant");
+        }
+        let reports = engine.step(&mut cluster, |_| 0.8);
+        let events = controller.process_epoch(&mut cluster, &reports);
+        migrations += events
+            .iter()
+            .filter(|e| matches!(e, EpochEvent::Migrated { .. }))
+            .count() as u64;
+    }
+    migrations
+}
+
+/// Regression test for a use-after-free in `WorkerPool::scatter_map`:
+/// workers used to signal completion through a `Sender` stored in the
+/// caller's context arena, which the caller frees as soon as it has every
+/// receipt — possibly while a worker is still inside `send`.  Three lanes
+/// on a small host keep workers preempted mid-signal often enough for
+/// that to stall or crash the process within a few hundred episodes.
 #[test]
-fn sharded_mode_panic_also_reaches_the_barrier_first() {
-    // The scoped-thread baseline follows the same policy: original payload,
-    // epoch not advanced, no abort via a bare join().expect.
-    let engine = EpochEngine::new(ClusterSeed::new(3), ExecutionMode::Sharded { threads: 4 });
-    let mut c = cluster(8, 16);
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        engine.step(&mut c, |vm| {
-            if vm.0 == 0 {
-                panic!("boom");
-            }
-            0.4
-        })
-    }));
-    let payload = crashed.expect_err("the shard panic must propagate");
-    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
-    assert_eq!(c.epoch(), 0);
+fn engine_and_controller_sharing_a_three_lane_pool_never_stall() {
+    const EPISODES: u64 = 400;
+    let (done, finished) = mpsc::channel();
+    // Not joined: a stalled episode never returns, and the failing test
+    // ends the process.
+    std::thread::spawn(move || {
+        for episode in 0..EPISODES {
+            done.send(shared_pool_episode(episode))
+                .expect("the test is waiting");
+        }
+    });
+    let mut migrations = 0;
+    for episode in 0..EPISODES {
+        migrations += finished
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("episode {episode} stalled for 30 s"));
+    }
+    assert!(migrations > 0, "no episode reached a migration");
 }
