@@ -11,8 +11,8 @@
 //! the `CLOUDSIM_THREADS` env-default mode.
 //! A parallel run can only beat serial when the OS actually grants more
 //! than one hardware thread, so each JSON record carries
-//! `available_parallelism`, and rows with `threads > 1` on a single-core
-//! runner additionally carry `"overhead_only": true` — they measure pure
+//! `available_parallelism`, and rows with more threads than that
+//! additionally carry `"overhead_only": true` — they measure pure
 //! coordination overhead and say nothing about multi-core scaling
 //! (`check_bench_json` enforces the flag).
 //!
@@ -183,28 +183,28 @@ fn print_table(results: &[Measurement], migrations_per_sec: f64) {
 /// Dumps the measurements to `BENCH_cluster.json` at the workspace root so
 /// successive PRs can track the scaling trajectory.
 fn dump_json(results: &[Measurement], migrations_per_sec: f64, smoke: bool) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut entries: Vec<String> = results
         .iter()
         .map(|r| {
-            // A multi-threaded row measured on a single-core runner records
-            // coordination overhead, not scaling — say so in the row itself
-            // (check_bench_json rejects dumps that omit the flag).
-            let overhead_only = r.threads > 1 && cores == 1;
             format!(
                 "  {{\"machines\": {}, \"vms\": {}, \"mode\": \"{}\", \"threads\": {}, \
-                 \"epochs_per_sec\": {:.1}, \"speedup_vs_serial\": {:.2}, \
-                 \"available_parallelism\": {cores}, \"overhead_only\": {overhead_only}}}",
-                r.machines, r.vms, r.label, r.threads, r.epochs_per_sec, r.speedup_vs_serial
+                 \"epochs_per_sec\": {:.1}, \"speedup_vs_serial\": {:.2}, {}}}",
+                r.machines,
+                r.vms,
+                r.label,
+                r.threads,
+                r.epochs_per_sec,
+                r.speedup_vs_serial,
+                bench::dump::host_fields(r.threads)
             )
         })
         .collect();
     entries.push(format!(
-        "  {{\"migration_churn_per_sec\": {migrations_per_sec:.0}, \
-         \"available_parallelism\": {cores}}}"
+        "  {{\"migration_churn_per_sec\": {migrations_per_sec:.0}, {}}}",
+        bench::dump::host_fields(1)
     ));
     let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    bench::write_dump("cluster", smoke, &json);
+    bench::dump::write_dump("cluster", smoke, &json);
 }
 
 fn bench_kernel(c: &mut Criterion) {

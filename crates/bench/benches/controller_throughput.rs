@@ -33,8 +33,8 @@
 //!
 //! Results are printed as a table and dumped to `BENCH_controller.json` at
 //! the workspace root (with `available_parallelism`, following the
-//! `BENCH_cluster.json` caveat convention).  Fan-out rows claiming
-//! `threads > 1` on a single-core runner carry `"overhead_only": true` —
+//! `BENCH_cluster.json` caveat convention).  Fan-out rows claiming more
+//! threads than the runner has cores carry `"overhead_only": true` —
 //! `check_bench_json` enforces the flag.  `--smoke` (the CI step) shrinks
 //! the measurement budget.
 
@@ -387,36 +387,40 @@ fn dump_json(
     cold_us: f64,
     smoke: bool,
 ) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut entries: Vec<String> = results
         .iter()
         .map(|r| {
             format!(
                 "  {{\"vms\": {}, \"apps\": {}, \"path\": \"{}\", \
-                 \"evals_per_sec\": {:.0}, \"speedup_vs_cold\": {:.2}, \
-                 \"available_parallelism\": {}}}",
-                r.vms, r.apps, r.path, r.evals_per_sec, r.speedup, cores
+                 \"evals_per_sec\": {:.0}, \"speedup_vs_cold\": {:.2}, {}}}",
+                r.vms,
+                r.apps,
+                r.path,
+                r.evals_per_sec,
+                r.speedup,
+                bench::dump::host_fields(1)
             )
         })
         .collect();
     for s in sweeps {
-        // Same caveat convention as BENCH_cluster.json: a multi-lane sweep
-        // on a single-core runner records coordination overhead, not
-        // scaling, and must say so (check_bench_json enforces the flag).
-        let overhead_only = s.threads > 1 && cores == 1;
         entries.push(format!(
             "  {{\"apps\": {}, \"sweep\": \"{}\", \"threads\": {}, \
-             \"refits_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}, \
-             \"available_parallelism\": {cores}, \"overhead_only\": {overhead_only}}}",
-            s.apps, s.sweep, s.threads, s.refits_per_sec, s.speedup_vs_serial
+             \"refits_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}, {}}}",
+            s.apps,
+            s.sweep,
+            s.threads,
+            s.refits_per_sec,
+            s.speedup_vs_serial,
+            bench::dump::host_fields(s.threads)
         ));
     }
     entries.push(format!(
         "  {{\"refresh_warm_us\": {warm_us:.1}, \"refresh_cold_us\": {cold_us:.1}, \
-         \"seed_history\": {SEED_HISTORY}, \"available_parallelism\": {cores}}}"
+         \"seed_history\": {SEED_HISTORY}, {}}}",
+        bench::dump::host_fields(1)
     ));
     let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    bench::write_dump("controller", smoke, &json);
+    bench::dump::write_dump("controller", smoke, &json);
 }
 
 fn bench_kernel(c: &mut Criterion) {

@@ -44,8 +44,8 @@
 //!
 //! A parallel row can only beat serial when the OS grants more than one
 //! hardware thread, so every engine row carries `available_parallelism`
-//! and `threads > 1` rows on a single-core runner carry
-//! `"overhead_only": true` (enforced by `check_bench_json`).
+//! and rows with more threads than that carry `"overhead_only": true`
+//! (enforced by `check_bench_json`).
 //!
 //! Results are printed as a table and dumped to `BENCH_datacenter.json` at
 //! the workspace root; `--smoke` (the CI step) shrinks fleets and budgets.
@@ -561,22 +561,16 @@ fn dump_json(
     fault_rows: &[FaultRow],
     smoke: bool,
 ) {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut entries: Vec<String> = engine_rows
         .iter()
         .map(|r| {
-            // A multi-threaded row measured on a single-core runner records
-            // coordination overhead, not scaling — say so in the row itself
-            // (check_bench_json rejects dumps that omit the flag).
-            let overhead_only = r.threads > 1 && cores == 1;
             let vs_sweep = r.speedup_vs_dense_sweep.map_or(String::new(), |s| {
                 format!("\"speedup_vs_dense_sweep\": {s:.2}, ")
             });
             format!(
                 "  {{\"kind\": \"engine\", \"machines\": {}, \"vms\": {}, \"mode\": \"{}\", \
                  \"activity\": {}, \"threads\": {}, \"epochs_per_sec\": {:.1}, \
-                 \"vm_epochs_per_sec\": {:.0}, \"speedup_vs_dense\": {:.2}, {vs_sweep}\
-                 \"available_parallelism\": {cores}, \"overhead_only\": {overhead_only}}}",
+                 \"vm_epochs_per_sec\": {:.0}, \"speedup_vs_dense\": {:.2}, {vs_sweep}{}}}",
                 r.machines,
                 r.vms,
                 r.mode,
@@ -584,7 +578,8 @@ fn dump_json(
                 r.threads,
                 r.epochs_per_sec,
                 r.vm_epochs_per_sec,
-                r.speedup_vs_dense
+                r.speedup_vs_dense,
+                bench::dump::host_fields(r.threads)
             )
         })
         .collect();
@@ -592,14 +587,14 @@ fn dump_json(
         format!(
             "  {{\"kind\": \"service\", \"preset\": \"{}\", \"machines\": {}, \
              \"epochs_per_sec\": {:.1}, \"vm_epochs_per_sec\": {:.0}, \
-             \"vm_arrivals_per_sec\": {:.1}, \"peak_resident\": {}, \
-             \"available_parallelism\": {cores}}}",
+             \"vm_arrivals_per_sec\": {:.1}, \"peak_resident\": {}, {}}}",
             r.preset,
             r.machines,
             r.epochs_per_sec,
             r.vm_epochs_per_sec,
             r.vm_arrivals_per_sec,
-            r.peak_resident
+            r.peak_resident,
+            bench::dump::host_fields(1)
         )
     }));
     entries.extend(fault_rows.iter().map(|r| {
@@ -608,7 +603,7 @@ fn dump_json(
              \"blast_radius\": {}, \"epochs_per_sec\": {:.1}, \"overhead_pct\": {:.2}, \
              \"availability_pct\": {:.3}, \"evacuation_latency_epochs\": {:.2}, \
              \"crashes\": {}, \"evacuations\": {}, \"drain_migrations\": {}, \
-             \"abandonments\": {}, \"available_parallelism\": {cores}}}",
+             \"abandonments\": {}, {}}}",
             r.scenario,
             r.machines,
             r.blast_radius,
@@ -619,11 +614,12 @@ fn dump_json(
             r.crashes,
             r.evacuations,
             r.drain_migrations,
-            r.abandonments
+            r.abandonments,
+            bench::dump::host_fields(1)
         )
     }));
     let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    bench::write_dump("datacenter", smoke, &json);
+    bench::dump::write_dump("datacenter", smoke, &json);
 }
 
 fn bench_kernel(c: &mut Criterion) {

@@ -316,27 +316,24 @@ fn print_table(results: &[Measurement]) {
 /// for multi-core ones; `cargo run -p bench --bin check_bench_json`
 /// validates the dump in CI.
 fn dump_json(results: &[Measurement], smoke: bool) {
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let entries: Vec<String> = results
         .iter()
         .map(|r| {
             format!(
                 "  {{\"fleet\": \"{}\", \"vms_per_machine\": {}, \
                  \"reused_vms_per_sec\": {:.0}, \"alloc_vms_per_sec\": {:.0}, \
-                 \"speedup\": {:.2}, \"available_parallelism\": {}}}",
+                 \"speedup\": {:.2}, {}}}",
                 r.fleet,
                 r.vms_per_machine,
                 r.reused_vms_per_sec,
                 r.alloc_vms_per_sec,
                 r.speedup(),
-                parallelism
+                bench::dump::host_fields(1)
             )
         })
         .collect();
     let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    bench::write_dump("resolver", smoke, &json);
+    bench::dump::write_dump("resolver", smoke, &json);
 }
 
 fn bench_kernel(c: &mut Criterion) {

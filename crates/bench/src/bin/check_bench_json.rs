@@ -1,122 +1,31 @@
-//! CI validator for the throughput-bench JSON dumps.
-//!
-//! The four throughput benches (`resolver_throughput`, `cluster_throughput`,
-//! `controller_throughput`, `datacenter_throughput`) dump machine-readable
-//! measurements to `BENCH_resolver.json`, `BENCH_cluster.json`,
-//! `BENCH_controller.json` and `BENCH_datacenter.json`
-//! at the workspace root so successive PRs can track the hot paths'
-//! trajectories (`--smoke` runs write `BENCH_*.smoke.json` siblings instead,
-//! so short-budget CI numbers never overwrite the committed full-budget
-//! files).  A bench that silently dumps an empty array, a non-finite rate or
-//! a row missing its keys would corrupt that trajectory without failing
-//! anything — so CI runs this checker right after the four smoke steps,
-//! over both the fresh smoke dumps and the committed files, and fails on
-//! any malformed dump.
-//!
-//! Checked per file:
-//!
-//! * the document parses as a **non-empty array of objects**,
-//! * every row carries its **required keys** (schema dispatched per file),
-//! * every rate/ratio is a **finite, strictly positive** number,
-//! * the runner's **`available_parallelism` is recorded** (≥ 1) on every
-//!   row, so single-core container numbers are never mistaken for scaling
-//!   data,
-//! * any row claiming `threads > 1` while `available_parallelism` is 1
-//!   carries **`"overhead_only": true`** — a multi-threaded measurement on
-//!   a single-core runner records coordination overhead, not scaling, and
-//!   the row itself must say so.
-//!
-//! Usage: `cargo run -p bench --bin check_bench_json [FILES...]` — with no
-//! arguments it validates the four dumps at the workspace root.  Exits
-//! nonzero listing every violation found.  `--help` prints the per-file
-//! schema (every required key per row shape); the same reference lives in
-//! `crates/bench/README.md`.
+//! Validates `BENCH_*.json` throughput dumps, a short interpreter of the
+//! schema table in `bench::dump`.  CI runs it over the fresh `--smoke` dumps
+//! and the committed files, so a malformed or stale dump fails CI instead of
+//! corrupting the cross-PR trajectory.  Exits nonzero listing every violation.
 
-use serde::Value;
-
-/// Schema reference printed by `--help`; kept in sync with `validate` and
-/// mirrored (with prose) in `crates/bench/README.md`.
-const HELP: &str = "\
-check_bench_json — CI validator for the BENCH_*.json throughput dumps.
-
-Usage: cargo run -p bench --bin check_bench_json [FILES...]
-       (no arguments: validates the four dumps at the workspace root)
-
-Every dump is a non-empty JSON array of objects.  Every row records the
-runner's `available_parallelism` (>= 1), and any row with `threads` > 1 on
-a single-core runner must carry `\"overhead_only\": true`.  Rates and sizes
-must be finite and strictly positive unless noted.
-
-BENCH_resolver.json — contention-resolver microbench, one row per fleet:
-  fleet (string), vms_per_machine, reused_vms_per_sec, alloc_vms_per_sec,
-  speedup, available_parallelism
-
-BENCH_cluster.json — epoch-stepping matrix plus a churn probe:
-  throughput rows: mode (serial or pooled-N), machines, vms,
-    threads, epochs_per_sec, speedup_vs_serial, available_parallelism
-  churn probe row: migration_churn_per_sec, available_parallelism
-
-BENCH_controller.json — DeepDive controller paths:
-  warning-path rows: path (string), vms, apps, evals_per_sec,
-    speedup_vs_cold, available_parallelism
-  refit-sweep rows: sweep (string), apps, threads, refits_per_sec,
-    speedup_vs_serial, available_parallelism
-  refresh probe row: refresh_warm_us, refresh_cold_us,
-    available_parallelism
-
-BENCH_datacenter.json — rows dispatched on \"kind\":
-  kind=engine: mode (dense/sparse/dense-advance/sparse-advance/
-    sparse-pooled; the dump must pair dense and sparse rows), machines,
-    vms, activity (fraction in (0,1]), threads, epochs_per_sec,
-    vm_epochs_per_sec, speedup_vs_dense, available_parallelism; advance
-    rows may add speedup_vs_dense_sweep
-  kind=service: preset (string), machines, epochs_per_sec,
-    vm_epochs_per_sec, vm_arrivals_per_sec, peak_resident,
-    available_parallelism
-  kind=fault: scenario (disabled/light/rack/domain/drain; the dump must
-    carry a disabled row — the idle-overhead baseline), machines,
-    blast_radius (machines felled per fault event: 1, rack or domain
-    size), epochs_per_sec, available_parallelism; availability_pct in
-    (0, 100]; overhead_pct finite (negative = noise); finite and >= 0:
-    evacuation_latency_epochs, crashes, evacuations, drain_migrations,
-    abandonments
-";
-
-/// The dumps validated by default, relative to the workspace root.
-const DEFAULT_FILES: [&str; 4] = [
-    "BENCH_resolver.json",
-    "BENCH_cluster.json",
-    "BENCH_controller.json",
-    "BENCH_datacenter.json",
-];
+use bench::dump::{dump_path, render, schema_for, Check, Dump, Select, DUMPS, SHARED};
+use serde::{Deserialize, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
-        return;
+        let usage = "Usage: cargo run -p bench --bin check_bench_json [FILES...]";
+        return println!("{usage}\n(default: the committed dumps)\n\n{}", render());
     }
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let files: Vec<String> = if args.is_empty() {
-        DEFAULT_FILES
+    let files: Vec<String> = match args.is_empty() {
+        true => DUMPS
             .iter()
-            .map(|f| format!("{root}/{f}"))
-            .collect()
-    } else {
-        args
+            .map(|dump| dump_path(dump.name, false).display().to_string())
+            .collect(),
+        false => args,
     };
-
     let mut failures = 0usize;
     for file in &files {
         let errors = check_file(file);
-        if errors.is_empty() {
-            println!("OK   {file}");
-        } else {
-            failures += errors.len();
-            eprintln!("FAIL {file}");
-            for error in errors {
-                eprintln!("  - {error}");
-            }
+        failures += errors.len();
+        match errors.is_empty() {
+            true => println!("OK   {file}"),
+            false => eprintln!("FAIL {file}\n  - {}", errors.join("\n  - ")),
         }
     }
     if failures > 0 {
@@ -127,410 +36,100 @@ fn main() {
 
 /// Reads, parses and validates one dump; returns every violation found.
 fn check_file(path: &str) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => return vec![format!("cannot read: {e}")],
+    let Some(dump) = schema_for(path) else {
+        return vec!["unknown dump (expected BENCH_<name> for a name in the table)".into()];
     };
-    let value: Value = match serde_json::from_str(&text) {
-        Ok(value) => value,
-        Err(e) => return vec![format!("invalid JSON: {e}")],
-    };
-    let schema = match schema_for(path) {
-        Some(schema) => schema,
-        None => {
-            return vec![format!(
-                "unknown dump (expected a path containing one of: \
-                 resolver, cluster, controller, datacenter)"
-            )]
-        }
-    };
-    validate(&value, schema)
-}
-
-/// Which per-row rules apply to a dump, dispatched on the file name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Schema {
-    Resolver,
-    Cluster,
-    Controller,
-    Datacenter,
-}
-
-fn schema_for(path: &str) -> Option<Schema> {
-    let name = path.rsplit('/').next().unwrap_or(path);
-    if name.contains("resolver") {
-        Some(Schema::Resolver)
-    } else if name.contains("datacenter") {
-        Some(Schema::Datacenter)
-    } else if name.contains("cluster") {
-        Some(Schema::Cluster)
-    } else if name.contains("controller") {
-        Some(Schema::Controller)
-    } else {
-        None
+    match std::fs::read_to_string(path) {
+        Err(e) => vec![format!("cannot read: {e}")],
+        Ok(text) => match serde_json::from_str(&text) {
+            Ok(doc) => validate(&doc, dump),
+            Err(e) => vec![format!("invalid JSON: {e}")],
+        },
     }
-}
-
-/// Whether `mode` is a cluster-stepping label: `serial` or `pooled-N`.
-fn is_cluster_mode(mode: &str) -> bool {
-    mode == "serial"
-        || mode
-            .strip_prefix("pooled-")
-            .is_some_and(|threads| threads.parse::<usize>().is_ok())
 }
 
 /// Validates a parsed dump against its schema.
-fn validate(doc: &Value, schema: Schema) -> Vec<String> {
-    let mut errors = Vec::new();
+fn validate(doc: &Value, dump: &Dump) -> Vec<String> {
     let rows = match doc.as_array() {
+        Ok([]) => return vec!["document is an empty array".to_string()],
         Ok(rows) => rows,
         Err(_) => return vec![format!("document is {}, expected an array", doc.kind())],
     };
-    if rows.is_empty() {
-        return vec!["document is an empty array".to_string()];
-    }
-    // Rows that carry the schema's main measurement (e.g. a throughput row
-    // rather than an auxiliary probe); every schema requires at least one.
+    let mut errors = Vec::new();
     let mut measurement_rows = 0usize;
-    // Engine modes seen in a datacenter dump — the dump must pair a dense
-    // baseline with at least one sparse measurement to be a comparison.
-    let mut saw_dense = false;
-    let mut saw_sparse = false;
-    // A datacenter dump must also carry the disabled-plane fault row: the
-    // standing proof that the fault layer is (near-)free when unused.
-    let mut saw_disabled_fault = false;
     for (i, row) in rows.iter().enumerate() {
         if row.as_object().is_err() {
             errors.push(format!("row {i}: is {}, expected an object", row.kind()));
             continue;
         }
-        match schema {
-            Schema::Resolver => {
-                measurement_rows += 1;
-                if !matches!(row.get("fleet"), Some(Value::Str(_))) {
-                    errors.push(format!("row {i}: missing string \"fleet\""));
-                }
-                require_positive(
-                    row,
-                    i,
-                    &mut errors,
-                    &[
-                        "vms_per_machine",
-                        "reused_vms_per_sec",
-                        "alloc_vms_per_sec",
-                        "speedup",
-                        "available_parallelism",
-                    ],
-                );
-            }
-            Schema::Cluster => {
-                if row.get("mode").is_some() {
-                    // A throughput row of the serial/pooled matrix.
-                    measurement_rows += 1;
-                    match row.get("mode") {
-                        Some(Value::Str(mode)) if is_cluster_mode(mode) => {}
-                        Some(Value::Str(mode)) => errors.push(format!(
-                            "row {i}: unknown cluster \"mode\" {mode:?} (expected serial or pooled-N)"
-                        )),
-                        _ => errors.push(format!("row {i}: \"mode\" must be a string")),
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "machines",
-                            "vms",
-                            "threads",
-                            "epochs_per_sec",
-                            "speedup_vs_serial",
-                            "available_parallelism",
-                        ],
-                    );
-                } else {
-                    // The migration-churn probe.
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &["migration_churn_per_sec", "available_parallelism"],
-                    );
+        let kind = row.get("kind");
+        let shape = dump.shapes.iter().find(|(select, _)| match select {
+            Select::Every | Select::Other => true,
+            Select::Has(key) => row.get(key).is_some(),
+            Select::Kind(name) => matches!(kind, Some(Value::Str(k)) if k == name),
+        });
+        let Some((select, fields)) = shape else {
+            let kind = kind.and_then(|k| serde_json::to_string(k).ok());
+            let kind = kind.unwrap_or_else(|| "(missing)".into());
+            errors.push(format!("row {i}: unknown \"kind\" {kind}"));
+            continue;
+        };
+        measurement_rows += usize::from(!matches!(select, Select::Other));
+        // An out-of-set label names the row kind it failed in.
+        let noun = match select {
+            Select::Kind(name) => name,
+            _ => dump.name,
+        };
+        for &(check, keys) in fields.iter().chain([&SHARED]) {
+            for key in keys.split(' ') {
+                let (key, optional) = key.strip_suffix('?').map_or((key, false), |k| (k, true));
+                let error = field_error(row.get(key), check, noun, key);
+                if let Some(error) = error.filter(|_| !optional || row.get(key).is_some()) {
+                    errors.push(format!("row {i}: {error}"));
                 }
             }
-            Schema::Controller => {
-                if row.get("path").is_some() {
-                    // A warm-vs-cold warning-path throughput row.
-                    measurement_rows += 1;
-                    if !matches!(row.get("path"), Some(Value::Str(_))) {
-                        errors.push(format!("row {i}: \"path\" must be a string"));
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "vms",
-                            "apps",
-                            "evals_per_sec",
-                            "speedup_vs_cold",
-                            "available_parallelism",
-                        ],
-                    );
-                } else if row.get("sweep").is_some() {
-                    // A refit fan-out row (serial vs pooled refresh sweep).
-                    measurement_rows += 1;
-                    if !matches!(row.get("sweep"), Some(Value::Str(_))) {
-                        errors.push(format!("row {i}: \"sweep\" must be a string"));
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "apps",
-                            "threads",
-                            "refits_per_sec",
-                            "speedup_vs_serial",
-                            "available_parallelism",
-                        ],
-                    );
-                } else {
-                    // The refresh-cost probe.
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "refresh_warm_us",
-                            "refresh_cold_us",
-                            "available_parallelism",
-                        ],
-                    );
-                }
-            }
-            Schema::Datacenter => match row.get("kind") {
-                Some(Value::Str(kind)) if kind == "engine" => {
-                    // A dense/sparse engine-throughput row.
-                    measurement_rows += 1;
-                    const MODES: [&str; 5] = [
-                        "dense",
-                        "sparse",
-                        "dense-advance",
-                        "sparse-advance",
-                        "sparse-pooled",
-                    ];
-                    match row.get("mode") {
-                        Some(Value::Str(mode)) if MODES.contains(&mode.as_str()) => {
-                            saw_dense |= mode.starts_with("dense");
-                            saw_sparse |= mode.starts_with("sparse");
-                        }
-                        Some(Value::Str(mode)) => errors.push(format!(
-                            "row {i}: unknown engine \"mode\" {mode:?} (expected one of {MODES:?})"
-                        )),
-                        _ => errors.push(format!("row {i}: missing string \"mode\"")),
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "machines",
-                            "vms",
-                            "activity",
-                            "threads",
-                            "epochs_per_sec",
-                            "vm_epochs_per_sec",
-                            "speedup_vs_dense",
-                            "available_parallelism",
-                        ],
-                    );
-                    // Activity is the fraction of busy machines; the
-                    // sweep-relative speedup is dumped only on advance rows.
-                    if row
-                        .get("activity")
-                        .and_then(number)
-                        .is_some_and(|a| a > 1.0)
-                    {
-                        errors.push(format!(
-                            "row {i}: \"activity\" must be a fraction in (0, 1]"
-                        ));
-                    }
-                    if let Some(v) = row.get("speedup_vs_dense_sweep") {
-                        match number(v) {
-                            Some(x) if x.is_finite() && x > 0.0 => {}
-                            _ => errors.push(format!(
-                                "row {i}: \"speedup_vs_dense_sweep\" must be finite and nonzero"
-                            )),
-                        }
-                    }
-                }
-                Some(Value::Str(kind)) if kind == "service" => {
-                    // An event-driven service (arrive/live/depart) row.
-                    measurement_rows += 1;
-                    if !matches!(row.get("preset"), Some(Value::Str(_))) {
-                        errors.push(format!("row {i}: missing string \"preset\""));
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "machines",
-                            "epochs_per_sec",
-                            "vm_epochs_per_sec",
-                            "vm_arrivals_per_sec",
-                            "peak_resident",
-                            "available_parallelism",
-                        ],
-                    );
-                }
-                Some(Value::Str(kind)) if kind == "fault" => {
-                    // A fault-plane row: overhead and availability of one
-                    // scenario against the fault-free baseline.  The
-                    // scenarios sweep blast radius (single machine → rack →
-                    // power domain) plus the graceful-drain alternative.
-                    measurement_rows += 1;
-                    const SCENARIOS: [&str; 5] = ["disabled", "light", "rack", "domain", "drain"];
-                    match row.get("scenario") {
-                        Some(Value::Str(scenario)) if SCENARIOS.contains(&scenario.as_str()) => {
-                            saw_disabled_fault |= scenario == "disabled";
-                        }
-                        Some(Value::Str(scenario)) => errors.push(format!(
-                            "row {i}: unknown fault \"scenario\" {scenario:?} \
-                             (expected one of {SCENARIOS:?})"
-                        )),
-                        _ => errors.push(format!("row {i}: missing string \"scenario\"")),
-                    }
-                    require_positive(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "machines",
-                            "blast_radius",
-                            "epochs_per_sec",
-                            "available_parallelism",
-                        ],
-                    );
-                    // Availability is a percentage of machine-epochs; 100
-                    // exactly is the disabled-plane case, so positive alone
-                    // is not enough and zero is a broken dump.
-                    match row.get("availability_pct").and_then(number) {
-                        Some(x) if x.is_finite() && x > 0.0 && x <= 100.0 => {}
-                        Some(x) => errors.push(format!(
-                            "row {i}: \"availability_pct\" must be in (0, 100], got {x}"
-                        )),
-                        None => {
-                            errors.push(format!("row {i}: missing numeric \"availability_pct\""))
-                        }
-                    }
-                    // Overhead may legitimately measure negative (noise) and
-                    // latency/counters may be exactly zero — finite (and for
-                    // the latter, non-negative) is the contract.
-                    require_finite(row, i, &mut errors, &["overhead_pct"]);
-                    require_finite_nonneg(
-                        row,
-                        i,
-                        &mut errors,
-                        &[
-                            "evacuation_latency_epochs",
-                            "crashes",
-                            "evacuations",
-                            "drain_migrations",
-                            "abandonments",
-                        ],
-                    );
-                }
-                Some(Value::Str(kind)) => {
-                    errors.push(format!(
-                        "row {i}: unknown \"kind\" {kind:?} \
-                         (expected \"engine\", \"service\" or \"fault\")"
-                    ));
-                }
-                _ => errors.push(format!("row {i}: missing string \"kind\"")),
-            },
         }
-        require_overhead_flag(row, i, &mut errors);
+        // A row measured with more threads than the runner has cores records
+        // coordination overhead, and must say so.
+        let number = |key| row.get(key).and_then(|v| f64::from_value(v).ok());
+        let threads = number("threads").unwrap_or(1.0);
+        let flagged = row.get("overhead_only") == Some(&Value::Bool(true));
+        if let Some(cores) = number("available_parallelism").filter(|&c| threads > c && !flagged) {
+            errors.push(format!(
+                "row {i}: threads {threads} > available_parallelism {cores} \
+                 requires \"overhead_only\": true"
+            ));
+        }
     }
     if measurement_rows == 0 {
         errors.push("no measurement rows found".to_string());
     }
-    if schema == Schema::Datacenter && !(saw_dense && saw_sparse) {
-        errors.push(
-            "datacenter dump must pair dense and sparse engine rows \
-             (found no such pair)"
-                .to_string(),
-        );
-    }
-    if schema == Schema::Datacenter && !saw_disabled_fault {
-        errors.push(
-            "datacenter dump must carry a \"disabled\" fault row \
-             (the idle-overhead baseline of the fault plane)"
-                .to_string(),
-        );
+    for (what, key, prefixes) in dump.needs {
+        let seen = |prefix| {
+            let has =
+                |row: &Value| matches!(row.get(key), Some(Value::Str(s)) if s.starts_with(prefix));
+            rows.iter().any(has)
+        };
+        if !prefixes.split(' ').all(seen) {
+            errors.push(format!("{} dump must {what}", dump.name));
+        }
     }
     errors
 }
 
-/// Schema-independent rule: a row measured with more threads than the
-/// runner has cores records pure coordination overhead, and must carry
-/// `"overhead_only": true` so the number is never read as scaling data.
-fn require_overhead_flag(row: &Value, i: usize, errors: &mut Vec<String>) {
-    let threads = row.get("threads").and_then(number).unwrap_or(1.0);
-    let cores = row.get("available_parallelism").and_then(number);
-    if threads > 1.0 && cores == Some(1.0) && row.get("overhead_only") != Some(&Value::Bool(true)) {
-        errors.push(format!(
-            "row {i}: threads > 1 with available_parallelism == 1 \
-             requires \"overhead_only\": true"
-        ));
-    }
-}
-
-/// Requires each key to be a finite, strictly positive number on the row.
-fn require_positive(row: &Value, i: usize, errors: &mut Vec<String>, keys: &[&str]) {
-    for key in keys {
-        match row.get(key).and_then(number) {
-            Some(x) if x.is_finite() && x > 0.0 => {}
-            Some(x) => errors.push(format!(
-                "row {i}: \"{key}\" must be finite and nonzero, got {x}"
-            )),
-            None => errors.push(format!("row {i}: missing numeric \"{key}\"")),
+/// The violation of `check` by the value at `key`, if any.
+fn field_error(value: Option<&Value>, check: Check, noun: &str, key: &str) -> Option<String> {
+    let expected = check.describe();
+    match value {
+        None => Some(format!("missing \"{key}\" ({expected})")),
+        Some(value) if check.admits(value) => None,
+        Some(Value::Str(s)) if matches!(check, Check::OneOf(_) | Check::Mode) => Some(format!(
+            "unknown {noun} \"{key}\" {s:?} (expected {expected})"
+        )),
+        Some(value) => {
+            let got = serde_json::to_string(value).unwrap_or_default();
+            Some(format!("\"{key}\" must be {expected}, got {got}"))
         }
-    }
-}
-
-/// Requires each key to be a finite number (any sign) on the row.
-fn require_finite(row: &Value, i: usize, errors: &mut Vec<String>, keys: &[&str]) {
-    for key in keys {
-        match row.get(key).and_then(number) {
-            Some(x) if x.is_finite() => {}
-            Some(x) => errors.push(format!("row {i}: \"{key}\" must be finite, got {x}")),
-            None => errors.push(format!("row {i}: missing numeric \"{key}\"")),
-        }
-    }
-}
-
-/// Requires each key to be a finite number ≥ 0 on the row (counters and
-/// latencies that are legitimately zero in a calm run).
-fn require_finite_nonneg(row: &Value, i: usize, errors: &mut Vec<String>, keys: &[&str]) {
-    for key in keys {
-        match row.get(key).and_then(number) {
-            Some(x) if x.is_finite() && x >= 0.0 => {}
-            Some(x) => errors.push(format!(
-                "row {i}: \"{key}\" must be finite and non-negative, got {x}"
-            )),
-            None => errors.push(format!("row {i}: missing numeric \"{key}\"")),
-        }
-    }
-}
-
-/// Numeric view of a JSON value, whatever integer/float variant it parsed as.
-fn number(v: &Value) -> Option<f64> {
-    match v {
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        Value::F64(x) => Some(*x),
-        _ => None,
     }
 }
 
@@ -542,20 +141,24 @@ mod tests {
         serde_json::from_str(text).expect("test JSON parses")
     }
 
+    fn schema(name: &str) -> &'static Dump {
+        schema_for(name).expect("a dump in the table")
+    }
+
     #[test]
     fn well_formed_dumps_pass() {
         let resolver = parse(
             r#"[{"fleet": "xeon", "vms_per_machine": 4, "reused_vms_per_sec": 1.1e7,
                  "alloc_vms_per_sec": 6.0e6, "speedup": 1.96, "available_parallelism": 4}]"#,
         );
-        assert!(validate(&resolver, Schema::Resolver).is_empty());
+        assert!(validate(&resolver, schema("resolver")).is_empty());
 
         let cluster = parse(
             r#"[{"machines": 64, "vms": 256, "mode": "serial", "threads": 1,
                  "epochs_per_sec": 19248.1, "speedup_vs_serial": 1.0, "available_parallelism": 4},
                 {"migration_churn_per_sec": 8842165, "available_parallelism": 4}]"#,
         );
-        assert!(validate(&cluster, Schema::Cluster).is_empty());
+        assert!(validate(&cluster, schema("cluster")).is_empty());
 
         let controller = parse(
             r#"[{"vms": 256, "apps": 8, "path": "generation_warm", "evals_per_sec": 253233,
@@ -563,7 +166,7 @@ mod tests {
                 {"refresh_warm_us": 1119.3, "refresh_cold_us": 6660.6, "seed_history": 200,
                  "available_parallelism": 4}]"#,
         );
-        assert!(validate(&controller, Schema::Controller).is_empty());
+        assert!(validate(&controller, schema("controller")).is_empty());
     }
 
     #[test]
@@ -573,7 +176,7 @@ mod tests {
                  "epochs_per_sec": 310.0, "speedup_vs_serial": 2.4, "available_parallelism": 4,
                  "overhead_only": false}]"#,
         );
-        assert!(validate(&cluster, Schema::Cluster).is_empty());
+        assert!(validate(&cluster, schema("cluster")).is_empty());
 
         let controller = parse(
             r#"[{"vms": 256, "apps": 8, "path": "generation_warm", "evals_per_sec": 253233,
@@ -581,13 +184,13 @@ mod tests {
                 {"apps": 16, "sweep": "pooled-4", "threads": 4, "refits_per_sec": 1200.0,
                  "speedup_vs_serial": 2.1, "available_parallelism": 4}]"#,
         );
-        assert!(validate(&controller, Schema::Controller).is_empty());
+        assert!(validate(&controller, schema("controller")).is_empty());
 
         let broken_sweep = parse(
             r#"[{"apps": 16, "sweep": "pooled-4", "threads": 4,
                  "speedup_vs_serial": 2.1, "available_parallelism": 4}]"#,
         );
-        let errors = validate(&broken_sweep, Schema::Controller);
+        let errors = validate(&broken_sweep, schema("controller"));
         assert!(
             errors.iter().any(|e| e.contains("refits_per_sec")),
             "{errors:?}"
@@ -602,7 +205,7 @@ mod tests {
                      "epochs_per_sec": 300.0, "speedup_vs_serial": 0.9,
                      "available_parallelism": 4}}]"#
             ));
-            let errors = validate(&row, Schema::Cluster);
+            let errors = validate(&row, schema("cluster"));
             assert!(
                 errors
                     .iter()
@@ -618,7 +221,7 @@ mod tests {
             r#"[{"machines": 64, "vms": 256, "mode": "pooled-4", "threads": 4,
                  "epochs_per_sec": 300.0, "speedup_vs_serial": 0.9, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&unflagged, Schema::Cluster);
+        let errors = validate(&unflagged, schema("cluster"));
         assert!(
             errors.iter().any(|e| e.contains("overhead_only")),
             "{errors:?}"
@@ -629,7 +232,7 @@ mod tests {
             r#"[{"apps": 16, "sweep": "pooled-4", "threads": 4, "refits_per_sec": 900.0,
                  "speedup_vs_serial": 0.8, "available_parallelism": 1, "overhead_only": false}]"#,
         );
-        let errors = validate(&denied, Schema::Controller);
+        let errors = validate(&denied, schema("controller"));
         assert!(
             errors.iter().any(|e| e.contains("overhead_only")),
             "{errors:?}"
@@ -643,13 +246,33 @@ mod tests {
                 {"machines": 64, "vms": 256, "mode": "serial", "threads": 1,
                  "epochs_per_sec": 330.0, "speedup_vs_serial": 1.0, "available_parallelism": 1}]"#,
         );
-        assert!(validate(&fine, Schema::Cluster).is_empty());
+        assert!(validate(&fine, schema("cluster")).is_empty());
+    }
+
+    #[test]
+    fn rows_with_more_threads_than_cores_must_be_flagged_overhead_only() {
+        let unflagged = parse(
+            r#"[{"machines": 64, "vms": 256, "mode": "pooled-4", "threads": 4,
+                 "epochs_per_sec": 300.0, "speedup_vs_serial": 0.9, "available_parallelism": 2}]"#,
+        );
+        let errors = validate(&unflagged, schema("cluster"));
+        assert!(
+            errors.iter().any(|e| e.contains("overhead_only")),
+            "{errors:?}"
+        );
+
+        // As many threads as cores is a scaling measurement and needs no flag.
+        let matched = parse(
+            r#"[{"machines": 64, "vms": 256, "mode": "pooled-2", "threads": 2,
+                 "epochs_per_sec": 300.0, "speedup_vs_serial": 1.4, "available_parallelism": 2}]"#,
+        );
+        assert!(validate(&matched, schema("cluster")).is_empty());
     }
 
     #[test]
     fn empty_and_non_array_documents_fail() {
-        assert!(!validate(&parse("[]"), Schema::Resolver).is_empty());
-        assert!(!validate(&parse(r#"{"fleet": "xeon"}"#), Schema::Resolver).is_empty());
+        assert!(!validate(&parse("[]"), schema("resolver")).is_empty());
+        assert!(!validate(&parse(r#"{"fleet": "xeon"}"#), schema("resolver")).is_empty());
     }
 
     #[test]
@@ -658,7 +281,7 @@ mod tests {
             r#"[{"fleet": "xeon", "vms_per_machine": 4, "reused_vms_per_sec": 0,
                  "alloc_vms_per_sec": 6.0e6, "speedup": 1.96, "available_parallelism": 4}]"#,
         );
-        let errors = validate(&zero_rate, Schema::Resolver);
+        let errors = validate(&zero_rate, schema("resolver"));
         assert!(
             errors.iter().any(|e| e.contains("reused_vms_per_sec")),
             "{errors:?}"
@@ -668,7 +291,7 @@ mod tests {
             r#"[{"machines": 64, "vms": 256, "mode": "serial", "threads": 1,
                  "speedup_vs_serial": 1.0, "available_parallelism": 4}]"#,
         );
-        let errors = validate(&missing_key, Schema::Cluster);
+        let errors = validate(&missing_key, schema("cluster"));
         assert!(
             errors.iter().any(|e| e.contains("epochs_per_sec")),
             "{errors:?}"
@@ -681,7 +304,7 @@ mod tests {
             r#"[{"vms": 256, "apps": 8, "path": "warm", "evals_per_sec": 1000.0,
                  "speedup_vs_cold": 2.0}]"#,
         );
-        let errors = validate(&doc, Schema::Controller);
+        let errors = validate(&doc, schema("controller"));
         assert!(
             errors.iter().any(|e| e.contains("available_parallelism")),
             "{errors:?}"
@@ -691,7 +314,7 @@ mod tests {
     #[test]
     fn dumps_of_only_auxiliary_rows_fail() {
         let doc = parse(r#"[{"migration_churn_per_sec": 100.0, "available_parallelism": 1}]"#);
-        let errors = validate(&doc, Schema::Cluster);
+        let errors = validate(&doc, schema("cluster"));
         assert!(
             errors.iter().any(|e| e.contains("no measurement rows")),
             "{errors:?}"
@@ -700,17 +323,12 @@ mod tests {
 
     #[test]
     fn schema_dispatch_follows_the_file_name() {
-        assert_eq!(schema_for("BENCH_resolver.json"), Some(Schema::Resolver));
-        assert_eq!(schema_for("/a/b/BENCH_cluster.json"), Some(Schema::Cluster));
-        assert_eq!(
-            schema_for("BENCH_controller.json"),
-            Some(Schema::Controller)
-        );
-        assert_eq!(
-            schema_for("BENCH_datacenter.smoke.json"),
-            Some(Schema::Datacenter)
-        );
-        assert_eq!(schema_for("BENCH_other.json"), None);
+        let name = |path| schema_for(path).map(|dump| dump.name);
+        assert_eq!(name("BENCH_resolver.json"), Some("resolver"));
+        assert_eq!(name("/a/b/BENCH_cluster.json"), Some("cluster"));
+        assert_eq!(name("BENCH_controller.json"), Some("controller"));
+        assert_eq!(name("BENCH_datacenter.smoke.json"), Some("datacenter"));
+        assert_eq!(name("BENCH_other.json"), None);
     }
 
     #[test]
@@ -735,7 +353,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        assert!(validate(&good, Schema::Datacenter).is_empty());
+        assert!(validate(&good, schema("datacenter")).is_empty());
     }
 
     #[test]
@@ -757,7 +375,7 @@ mod tests {
                  "crashes": 12, "evacuations": 30, "drain_migrations": 0,
                  "abandonments": 2, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&no_disabled, Schema::Datacenter);
+        let errors = validate(&no_disabled, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("\"disabled\" fault row")),
             "{errors:?}"
@@ -805,7 +423,7 @@ mod tests {
                  "crashes": 0, "evacuations": 120, "drain_migrations": 6400,
                  "abandonments": 3, "available_parallelism": 1}]"#,
         );
-        assert!(validate(&good, Schema::Datacenter).is_empty());
+        assert!(validate(&good, schema("datacenter")).is_empty());
     }
 
     #[test]
@@ -817,7 +435,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&over_100, Schema::Datacenter);
+        let errors = validate(&over_100, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("availability_pct")),
             "{errors:?}"
@@ -830,7 +448,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&negative_latency, Schema::Datacenter);
+        let errors = validate(&negative_latency, schema("datacenter"));
         assert!(
             errors
                 .iter()
@@ -845,7 +463,7 @@ mod tests {
                  "evacuations": 0, "drain_migrations": 0, "abandonments": 0,
                  "available_parallelism": 1}]"#,
         );
-        let errors = validate(&missing_overhead, Schema::Datacenter);
+        let errors = validate(&missing_overhead, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("overhead_pct")),
             "{errors:?}"
@@ -858,7 +476,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&no_scenario, Schema::Datacenter);
+        let errors = validate(&no_scenario, schema("datacenter"));
         assert!(errors.iter().any(|e| e.contains("scenario")), "{errors:?}");
 
         // A scenario outside the blast-radius sweep is a typo, not data.
@@ -869,7 +487,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&unknown_scenario, Schema::Datacenter);
+        let errors = validate(&unknown_scenario, schema("datacenter"));
         assert!(
             errors
                 .iter()
@@ -886,7 +504,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": 0,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&no_blast_radius, Schema::Datacenter);
+        let errors = validate(&no_blast_radius, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("blast_radius")),
             "{errors:?}"
@@ -900,7 +518,7 @@ mod tests {
                  "crashes": 0, "evacuations": 0, "drain_migrations": -5,
                  "abandonments": 0, "available_parallelism": 1}]"#,
         );
-        let errors = validate(&negative_drains, Schema::Datacenter);
+        let errors = validate(&negative_drains, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("drain_migrations")),
             "{errors:?}"
@@ -910,7 +528,7 @@ mod tests {
     #[test]
     fn datacenter_rows_with_bad_kind_mode_or_activity_fail() {
         let bad_kind = parse(r#"[{"kind": "mystery", "available_parallelism": 1}]"#);
-        let errors = validate(&bad_kind, Schema::Datacenter);
+        let errors = validate(&bad_kind, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("unknown \"kind\"")),
             "{errors:?}"
@@ -922,7 +540,7 @@ mod tests {
                  "vm_epochs_per_sec": 4000.0, "speedup_vs_dense": 1.0,
                  "available_parallelism": 1}]"#,
         );
-        let errors = validate(&bad_mode, Schema::Datacenter);
+        let errors = validate(&bad_mode, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("unknown engine \"mode\"")),
             "{errors:?}"
@@ -934,7 +552,7 @@ mod tests {
                  "vm_epochs_per_sec": 4000.0, "speedup_vs_dense": 1.0,
                  "available_parallelism": 1}]"#,
         );
-        let errors = validate(&bad_activity, Schema::Datacenter);
+        let errors = validate(&bad_activity, schema("datacenter"));
         assert!(errors.iter().any(|e| e.contains("activity")), "{errors:?}");
     }
 
@@ -946,7 +564,7 @@ mod tests {
                  "vm_epochs_per_sec": 4000.0, "speedup_vs_dense": 1.0,
                  "available_parallelism": 1}]"#,
         );
-        let errors = validate(&dense_only, Schema::Datacenter);
+        let errors = validate(&dense_only, schema("datacenter"));
         assert!(
             errors.iter().any(|e| e.contains("pair dense and sparse")),
             "{errors:?}"
@@ -955,9 +573,9 @@ mod tests {
 
     #[test]
     fn committed_dumps_at_the_workspace_root_are_valid() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        for file in DEFAULT_FILES {
-            let errors = check_file(&format!("{root}/{file}"));
+        for dump in &DUMPS {
+            let file = dump_path(dump.name, false).display().to_string();
+            let errors = check_file(&file);
             assert!(errors.is_empty(), "{file}: {errors:?}");
         }
     }

@@ -99,9 +99,9 @@
 //!   Measured by `cargo bench -p bench --bench cluster_throughput`
 //!   (64–512-machine fleets at real density, serial vs pooled at 2/4/8
 //!   threads, plus migration churn; dumps `BENCH_cluster.json`
-//!   with the runner's `available_parallelism`, and `threads > 1` rows on
-//!   a 1-core runner are flagged `overhead_only` so they are never
-//!   mistaken for scaling data).
+//!   with the runner's `available_parallelism`, and rows with more threads
+//!   than that are flagged `overhead_only` so they are never mistaken for
+//!   scaling data).
 //! * **O(1) bookkeeping** — `cloudsim::Cluster` keeps id→index maps so VM
 //!   location and machine lookups are O(1) per migration instead of scans.
 //! * **Incremental control plane** — the warning path (every VM, every
@@ -315,7 +315,9 @@
 //! executes multi-threaded — with
 //! the fault-tolerance chaos suite called out as a named step in both
 //! lanes, and validates the four `BENCH_*.json` throughput dumps with
-//! `cargo run -p bench --bin check_bench_json` after the smoke steps.
+//! `cargo run -p bench --bin check_bench_json` after the smoke steps. The
+//! validator interprets one schema table (`bench::dump::DUMPS`), which also
+//! renders its `--help` and the schema section of `crates/bench/README.md`.
 //!
 //! Everything is seeded: a `cloudsim::ClusterSeed` determines every VM's
 //! demand stream per `(vm, epoch)`, so the same seed gives the same
