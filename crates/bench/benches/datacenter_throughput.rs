@@ -15,15 +15,10 @@
 //!
 //! * **engine rows** — fixed fleets of 10k and 100k Xeon machines at real
 //!   density (four 2-vCPU VMs each) with an `activity` fraction of the
-//!   machines held busy and the rest idle-static, dense vs sparse through
-//!   both per-epoch `step` and the report-free `advance_epochs` bulk path.
-//!   Each row's `speedup_vs_dense` is against the dense baseline of its
-//!   own API; advance rows additionally carry `speedup_vs_dense_sweep`,
-//!   the ratio against the per-epoch dense sweep with materialized
-//!   reports — the engine's only mode before sparse stepping existed, and
-//!   the baseline for the headline claim: at 10% activity on 10k machines
-//!   the sparse bulk path must sustain ≥ 10× the old dense sweep's
-//!   VM-epochs/sec.
+//!   machines held busy and the rest idle-static, stepped through
+//!   [`EpochEngine::step`] (the engine's only stepping path) densely and
+//!   sparsely.  Each row's `speedup_vs_dense` is against the dense row of
+//!   the same fleet and activity.
 //! * **service rows** — the full event loop: `traces` session streams
 //!   (Hotmail diurnal and bursty EC2 presets) arrive, run hot, go idle and
 //!   depart through [`DatacenterService`]; the row reports sustained
@@ -113,14 +108,8 @@ struct EngineRow {
     threads: usize,
     epochs_per_sec: f64,
     vm_epochs_per_sec: f64,
-    /// Speedup against the dense baseline of the *same* API (step rows vs
-    /// dense step, advance rows vs dense advance) — isolates the sparse
-    /// win from the separate saving of not packaging reports.
+    /// Speedup against the dense row of the same fleet and activity.
     speedup_vs_dense: f64,
-    /// Advance rows only: speedup against the per-epoch dense sweep with
-    /// materialized reports — the engine's pre-sparse behavior, i.e. "the
-    /// wall" the sparse service mode replaces.
-    speedup_vs_dense_sweep: Option<f64>,
 }
 
 struct ServiceRow {
@@ -199,41 +188,7 @@ fn measure_engine(
     epochs as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Epochs per bulk-advance call: loads are held fixed across the batch
-/// (the documented [`EpochEngine::advance_epochs`] contract), so the
-/// quiescent check amortizes to ~nothing per epoch.
-const ADVANCE_BATCH: u64 = 16;
-
-/// Same measurement through the report-free [`EpochEngine::advance_epochs`]
-/// bulk path — the throughput entry point for callers that do not consume
-/// per-epoch reports.  Sparse advance visits a quiescent machine once per
-/// batch instead of copying its reports once per epoch, which is where the
-/// order-of-magnitude win over the dense sweep lives.
-fn measure_advance(machines: usize, sparse: bool, activity_permille: u64, budget: Duration) -> f64 {
-    let mut cluster = fleet(machines);
-    let mut engine = EpochEngine::serial(ClusterSeed::new(machines as u64));
-    engine.set_sparse(sparse);
-    criterion::black_box(engine.step(&mut cluster, |vm| offered_load(vm, activity_permille)));
-    let start = Instant::now();
-    let mut epochs = 0u64;
-    loop {
-        let summary = engine.advance_epochs(&mut cluster, ADVANCE_BATCH, |vm| {
-            offered_load(vm, activity_permille)
-        });
-        criterion::black_box(summary.vm_epochs);
-        epochs += ADVANCE_BATCH;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    epochs as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Dense-vs-sparse pairs at a given fleet size and activity fraction, for
-/// both the per-epoch report-returning path and the bulk-advance path.
-/// Each pair's speedup is against its own dense baseline, so the sparse
-/// win is never conflated with the (separate) saving of not packaging
-/// reports.
+/// A dense-vs-sparse pair at a given fleet size and activity fraction.
 fn engine_pair(
     machines: usize,
     activity_permille: u64,
@@ -256,24 +211,7 @@ fn engine_pair(
         activity_permille,
         budget,
     );
-    let dense_advance = measure_advance(machines, false, activity_permille, budget);
-    let sparse_advance = measure_advance(machines, true, activity_permille, budget);
-    for (mode, rate, baseline, vs_sweep) in [
-        ("dense", dense, dense, None),
-        ("sparse", sparse, dense, None),
-        (
-            "dense-advance",
-            dense_advance,
-            dense_advance,
-            Some(dense_advance / dense),
-        ),
-        (
-            "sparse-advance",
-            sparse_advance,
-            dense_advance,
-            Some(sparse_advance / dense),
-        ),
-    ] {
+    for (mode, rate) in [("dense", dense), ("sparse", sparse)] {
         rows.push(EngineRow {
             machines,
             vms,
@@ -282,8 +220,7 @@ fn engine_pair(
             threads: 1,
             epochs_per_sec: rate,
             vm_epochs_per_sec: rate * vms as f64,
-            speedup_vs_dense: rate / baseline,
-            speedup_vs_dense_sweep: vs_sweep,
+            speedup_vs_dense: rate / dense,
         });
     }
 }
@@ -440,7 +377,7 @@ fn run_measurements(smoke: bool) -> (Vec<EngineRow>, Vec<ServiceRow>) {
         (10_000, 100_000, Duration::from_millis(1_500))
     };
     let mut engine_rows = Vec::new();
-    // The headline: 10% activity, where sparse must clear 10× dense.
+    // 10% activity: a small active set over a quiescent majority.
     engine_pair(small, 100, budget, &mut engine_rows);
     // Worst case for sparse: everything active, caches never hit — this
     // row bounds the bookkeeping overhead (speedup ≈ 1.0).
@@ -462,7 +399,6 @@ fn run_measurements(smoke: bool) -> (Vec<EngineRow>, Vec<ServiceRow>) {
         epochs_per_sec: pooled,
         vm_epochs_per_sec: pooled * (small * VMS_PER_MACHINE) as f64,
         speedup_vs_dense: pooled / dense_small,
-        speedup_vs_dense_sweep: None,
     });
 
     // The service front end: diurnal Hotmail and bursty EC2 streams sized
@@ -499,12 +435,11 @@ fn print_table(engine_rows: &[EngineRow], service_rows: &[ServiceRow], fault_row
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!("# Datacenter throughput — sparse vs dense stepping ({cores} core(s) available)");
     println!(
-        "machines,vms,mode,activity,threads,epochs_per_sec,vm_epochs_per_sec,\
-         speedup_vs_dense,speedup_vs_dense_sweep"
+        "machines,vms,mode,activity,threads,epochs_per_sec,vm_epochs_per_sec,speedup_vs_dense"
     );
     for r in engine_rows {
         println!(
-            "{},{},{},{:.2},{},{:.1},{:.0},{:.2},{}",
+            "{},{},{},{:.2},{},{:.1},{:.0},{:.2}",
             r.machines,
             r.vms,
             r.mode,
@@ -513,8 +448,6 @@ fn print_table(engine_rows: &[EngineRow], service_rows: &[ServiceRow], fault_row
             r.epochs_per_sec,
             r.vm_epochs_per_sec,
             r.speedup_vs_dense,
-            r.speedup_vs_dense_sweep
-                .map_or_else(|| "-".to_string(), |s| format!("{s:.2}"))
         );
     }
     println!("# DatacenterService event loop");
@@ -564,13 +497,10 @@ fn dump_json(
     let mut entries: Vec<String> = engine_rows
         .iter()
         .map(|r| {
-            let vs_sweep = r.speedup_vs_dense_sweep.map_or(String::new(), |s| {
-                format!("\"speedup_vs_dense_sweep\": {s:.2}, ")
-            });
             format!(
                 "  {{\"kind\": \"engine\", \"machines\": {}, \"vms\": {}, \"mode\": \"{}\", \
                  \"activity\": {}, \"threads\": {}, \"epochs_per_sec\": {:.1}, \
-                 \"vm_epochs_per_sec\": {:.0}, \"speedup_vs_dense\": {:.2}, {vs_sweep}{}}}",
+                 \"vm_epochs_per_sec\": {:.0}, \"speedup_vs_dense\": {:.2}, {}}}",
                 r.machines,
                 r.vms,
                 r.mode,

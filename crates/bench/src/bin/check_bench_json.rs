@@ -338,11 +338,10 @@ mod tests {
                  "activity": 0.1, "threads": 1, "epochs_per_sec": 69.6,
                  "vm_epochs_per_sec": 2785855, "speedup_vs_dense": 1.0,
                  "available_parallelism": 1, "overhead_only": false},
-                {"kind": "engine", "machines": 10000, "vms": 40000, "mode": "sparse-advance",
-                 "activity": 0.1, "threads": 1, "epochs_per_sec": 841.7,
-                 "vm_epochs_per_sec": 33668883, "speedup_vs_dense": 7.46,
-                 "speedup_vs_dense_sweep": 12.09, "available_parallelism": 1,
-                 "overhead_only": false},
+                {"kind": "engine", "machines": 10000, "vms": 40000, "mode": "sparse",
+                 "activity": 0.1, "threads": 1, "epochs_per_sec": 519.3,
+                 "vm_epochs_per_sec": 20772000, "speedup_vs_dense": 7.46,
+                 "available_parallelism": 1, "overhead_only": false},
                 {"kind": "service", "preset": "hotmail", "machines": 10000,
                  "epochs_per_sec": 714.4, "vm_epochs_per_sec": 2887214,
                  "vm_arrivals_per_sec": 5455.6, "peak_resident": 8041,

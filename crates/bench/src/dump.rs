@@ -151,9 +151,8 @@ pub const DUMPS: [Dump; 4] = [
         ],
         shapes: &[
             (Kind("engine"), &[
-                (OneOf("dense sparse dense-advance sparse-advance sparse-pooled"), "mode"),
+                (OneOf("dense sparse sparse-pooled"), "mode"),
                 (Positive, "machines vms threads epochs_per_sec vm_epochs_per_sec speedup_vs_dense"),
-                (Positive, "speedup_vs_dense_sweep?"),
                 (Fraction, "activity"),
             ]),
             (Kind("service"), &[

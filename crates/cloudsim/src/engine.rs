@@ -36,6 +36,11 @@
 //! [`Cluster::total_resolves`] / [`Cluster::total_quiescent_steps`] expose
 //! how much work was actually skipped.
 //!
+//! [`EpochEngine::step`] is the only way to advance a cluster.  DeepDive's
+//! control loop reads every VM's counter report every epoch, so there is
+//! no report-free bulk path: reports are built, and the quiescent cache
+//! filled, in one place (`PhysicalMachine::step_epoch_into`).
+//!
 //! ## Panic policy
 //!
 //! A panicking `load_for` (or workload model) in any shard is re-raised on
@@ -145,21 +150,6 @@ impl ExecutionMode {
             ExecutionMode::Pooled { threads } => threads.clamp(1, machines.max(1)),
         }
     }
-}
-
-/// What one [`EpochEngine::advance_epochs`] call did, in machine-epochs.
-///
-/// `resolved_machine_epochs + quiescent_machine_epochs` accounts for every
-/// non-empty machine over every advanced epoch; the quiescent share is the
-/// work the sparse path skipped (a dense advance keeps it at zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdvanceSummary {
-    /// Resident VMs × epochs advanced — the throughput numerator.
-    pub vm_epochs: u64,
-    /// Machine-epochs that ran demand generation + contention resolution.
-    pub resolved_machine_epochs: u64,
-    /// Machine-epochs served by the quiescent fast path without resolving.
-    pub quiescent_machine_epochs: u64,
 }
 
 /// Steps a [`Cluster`] through epochs under a fixed seed and execution mode.
@@ -336,73 +326,6 @@ impl EpochEngine {
         };
         cluster.advance_epoch();
         reports
-    }
-
-    /// Advances the cluster `epochs` epochs **without materializing
-    /// reports**, with every VM's offered load held fixed at `load_for`'s
-    /// output for the whole batch (the closure is evaluated once per VM,
-    /// at batch entry — not once per epoch).
-    ///
-    /// This is the bulk-throughput entry point for callers that do not
-    /// consume per-epoch reports — fast-forwarding the quiescent valley of
-    /// a diurnal trace, capacity sweeps, warm-up.  Cluster state evolves
-    /// bit-identically to repeated [`EpochEngine::step`] calls under a
-    /// load closure constant over the batch: machines whose demand can
-    /// still change resolve every epoch exactly as they would, and a
-    /// machine whose workloads are all static at its loads resolves at
-    /// most once, synthesizes its reports into its quiescent cache (so a
-    /// later report-returning [`EpochEngine::step`] replays the same
-    /// bytes), and is **never revisited** for the rest of the batch.  With
-    /// sparse stepping that makes bulk advancement O(active machines),
-    /// where the per-epoch paths are O(machines) — they must at least
-    /// re-check and re-copy every quiescent machine's reports each epoch.
-    ///
-    /// Runs under the engine's [`ExecutionMode`] with the same balanced
-    /// sharding, bit-identical results and barrier-first panic policy as
-    /// [`EpochEngine::step`].  With sparse stepping disabled every
-    /// machine resolves every epoch (the dense baseline, minus report
-    /// packaging).
-    pub fn advance_epochs<F>(
-        &self,
-        cluster: &mut Cluster,
-        epochs: u64,
-        load_for: F,
-    ) -> AdvanceSummary
-    where
-        F: Fn(VmId) -> f64 + Sync,
-    {
-        if epochs == 0 {
-            return AdvanceSummary::default();
-        }
-        let vm_epochs = cluster.vm_count() as u64 * epochs;
-        let resolved_before = cluster.total_resolves();
-        let quiescent_before = cluster.total_quiescent_steps();
-        let first_epoch = cluster.epoch();
-        let seed = self.seed;
-        let sparse = self.sparse;
-        let advance_shard = |shard: &mut [PhysicalMachine]| {
-            for machine in shard.iter_mut() {
-                machine.advance_epochs(first_epoch, epochs, &load_for, seed, sparse);
-            }
-        };
-        let machines = cluster.machines_mut();
-        match self.parallel_lanes(machines.len()) {
-            Some((pool, threads)) => {
-                pool.scatter_map(
-                    &mut split_balanced(machines, threads),
-                    &|shard: &mut &mut [PhysicalMachine]| advance_shard(shard),
-                );
-            }
-            None => advance_shard(machines),
-        }
-        for _ in 0..epochs {
-            cluster.advance_epoch();
-        }
-        AdvanceSummary {
-            vm_epochs,
-            resolved_machine_epochs: cluster.total_resolves() - resolved_before,
-            quiescent_machine_epochs: cluster.total_quiescent_steps() - quiescent_before,
-        }
     }
 
     /// The pool and shard count for stepping `machines` machines, or `None`
@@ -631,63 +554,6 @@ mod tests {
                 assert_eq!(&patched, resolved);
             }
         }
-    }
-
-    #[test]
-    fn advance_epochs_matches_stepping_with_constant_loads() {
-        // VMs 0–3 idle (machine 0 all-static), the rest busy.
-        let load = |vm: VmId| if vm.0 < 4 { 0.0 } else { 0.6 };
-        // Reference: per-epoch report-returning stepping, dense serial.
-        let mut reference = cluster(4, 10);
-        let mut ref_engine = EpochEngine::serial(ClusterSeed::new(41));
-        ref_engine.set_sparse(false);
-        for _ in 0..5 {
-            ref_engine.step(&mut reference, load);
-        }
-        let expected_tail = ref_engine.step(&mut reference, load);
-        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled { threads: 3 }] {
-            for sparse in [false, true] {
-                let mut c = cluster(4, 10);
-                let mut engine = EpochEngine::new(ClusterSeed::new(41), mode);
-                engine.set_sparse(sparse);
-                let summary = engine.advance_epochs(&mut c, 5, load);
-                assert_eq!(c.epoch(), 5);
-                assert_eq!(summary.vm_epochs, 50);
-                // 3 non-empty machines × 5 epochs, split between the paths.
-                assert_eq!(
-                    summary.resolved_machine_epochs + summary.quiescent_machine_epochs,
-                    15,
-                    "machine-epoch accounting broke under {mode:?} sparse={sparse}"
-                );
-                if sparse {
-                    // Machine 0 resolves once (filling its cache) and skips
-                    // the remaining 4 epochs of the batch.
-                    assert_eq!(summary.quiescent_machine_epochs, 4);
-                } else {
-                    assert_eq!(summary.quiescent_machine_epochs, 0);
-                }
-                // The real equivalence check: after advancing without
-                // reports, the next report-returning epoch must be byte-
-                // for-byte what per-epoch dense stepping would produce.
-                let tail = engine.step(&mut c, load);
-                assert_eq!(
-                    expected_tail, tail,
-                    "advance diverged from stepping under {mode:?} sparse={sparse}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn advancing_zero_epochs_is_a_no_op() {
-        let mut c = cluster(2, 4);
-        let engine = EpochEngine::serial(ClusterSeed::new(6));
-        assert_eq!(
-            engine.advance_epochs(&mut c, 0, |_| 0.5),
-            AdvanceSummary::default()
-        );
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.total_resolves(), 0);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod service;
 pub mod vm;
 
 pub use cluster::Cluster;
-pub use engine::{AdvanceSummary, EpochEngine, ExecutionMode};
+pub use engine::{EpochEngine, ExecutionMode};
 pub use faults::{FaultConfig, FaultPlane, Topology};
 pub use pm::{PhysicalMachine, PmId, VmEpochReport};
 pub use pool::WorkerPool;

@@ -1,9 +1,10 @@
 //! Physical machines: hosting VMs and stepping simulation epochs.
 //!
-//! A [`PhysicalMachine`] owns the VMs placed on it.  Each call to
-//! [`PhysicalMachine::step_epoch`] asks every hosted VM's workload for its
-//! intrinsic demand at the offered load, hands all demands to the hwsim
-//! contention resolver, and packages the result into one
+//! A [`PhysicalMachine`] owns the VMs placed on it.  Each call to its one
+//! stepping method, `step_epoch_into` (driven by
+//! [`crate::engine::EpochEngine::step`]), asks every hosted VM's workload
+//! for its intrinsic demand at the offered load, hands all demands to the
+//! hwsim contention resolver, and packages the result into one
 //! [`VmEpochReport`] per VM: the Table 1 counters DeepDive reads, plus the
 //! client-observed performance and ground-truth stall breakdown the
 //! evaluation uses for scoring.
@@ -117,7 +118,7 @@ pub struct PhysicalMachine {
     /// generation it was filled at.
     generation: u64,
     /// Reusable epoch-resolution pipeline for this machine's spec: scratch
-    /// buffers survive across `step_epoch` calls so the hot path performs no
+    /// buffers survive across `step_epoch_into` calls so the hot path performs no
     /// per-epoch allocation beyond the returned reports.
     resolver: EpochResolver,
     loads: Vec<f64>,
@@ -237,34 +238,16 @@ impl PhysicalMachine {
         self.spec.cores.saturating_sub(used)
     }
 
-    /// Advances the machine one epoch.
+    /// Advances the machine one epoch, appending one report per hosted VM
+    /// (placement order) to `out`.  This is the machine's only stepping
+    /// method; [`crate::engine::EpochEngine::step`] calls it per machine.
     ///
     /// `load_for` maps each VM id to its offered load for this epoch (the
     /// trace-driven client intensity).  Each VM draws its demand from its
     /// own `(vm, epoch)` stream derived from `seed`, so the reports are a
     /// pure function of `(seed, epoch, loads, placement)` — independent of
     /// how many other machines exist or the order they are stepped in, which
-    /// is what lets [`crate::engine::EpochEngine`] step machines on
-    /// concurrent shards.  Returns one report per hosted VM, in placement
-    /// order.
-    pub fn step_epoch<F>(
-        &mut self,
-        epoch: u64,
-        load_for: &F,
-        seed: ClusterSeed,
-    ) -> Vec<VmEpochReport>
-    where
-        F: Fn(VmId) -> f64 + ?Sized,
-    {
-        let mut out = Vec::new();
-        self.step_epoch_into(epoch, load_for, seed, false, &mut out);
-        out
-    }
-
-    /// The stepping workhorse behind [`PhysicalMachine::step_epoch`] and the
-    /// epoch engine: appends this machine's reports (placement order) to
-    /// `out` and returns `true` when the epoch was actually resolved,
-    /// `false` when it was served from the quiescent cache.
+    /// is what lets the engine step machines on concurrent shards.
     ///
     /// With `use_cache` the machine may skip demand generation and
     /// contention resolution entirely when it is provably quiescent: same
@@ -284,12 +267,11 @@ impl PhysicalMachine {
         seed: ClusterSeed,
         use_cache: bool,
         out: &mut Vec<VmEpochReport>,
-    ) -> bool
-    where
+    ) where
         F: Fn(VmId) -> f64 + ?Sized,
     {
         if self.vms.is_empty() {
-            return false;
+            return;
         }
         // 1. Evaluate the load closure (always — quiescence is defined over
         // its output, so it can never be skipped).
@@ -301,8 +283,8 @@ impl PhysicalMachine {
             if let Some(cache) = &self.cache {
                 // `resolver.spec()` tracks the spec the cache was resolved
                 // under: a spec swap leaves the resolver stale until the
-                // next dense resolve (which also drops the cache), so
-                // equality here proves the cached reports used this spec.
+                // next resolve (which also drops the cache), so equality
+                // here proves the cached reports used this spec.
                 if cache.is_current(self.generation, self.scheduler, &self.loads)
                     && self.resolver.spec() == &self.spec
                 {
@@ -312,120 +294,11 @@ impl PhysicalMachine {
                     for report in &mut out[start..] {
                         report.epoch = epoch;
                     }
-                    return false;
+                    return;
                 }
             }
         }
-        self.resolve_current_loads(epoch, seed);
 
-        // 4. Package per-VM reports.
-        let start = out.len();
-        out.extend(
-            self.vms
-                .iter()
-                .zip(&self.demands)
-                .zip(&self.loads)
-                .zip(&self.outcomes)
-                .map(|(((vm, demand), &load), outcome)| VmEpochReport {
-                    vm_id: vm.id,
-                    pm_id: self.id,
-                    app: vm.app_id(),
-                    epoch,
-                    offered_load: load,
-                    counters: outcome.counters,
-                    demand: demand.clone(),
-                    achieved_fraction: outcome.achieved_fraction,
-                    observation: vm.client.observe(load, outcome.achieved_fraction),
-                    breakdown: outcome.breakdown,
-                }),
-        );
-
-        // 5. Seed the quiescent cache when every workload is static at the
-        // load it was just resolved with — the only state from which a
-        // later epoch may be skipped.  Active machines never reach here
-        // with all-static loads, so they never pay the report clone.
-        if use_cache && self.all_static() {
-            let reports = &out[start..];
-            match &mut self.cache {
-                Some(cache) => {
-                    cache.generation = self.generation;
-                    cache.scheduler = self.scheduler;
-                    cache.loads.clear();
-                    cache.loads.extend_from_slice(&self.loads);
-                    cache.reports.clear();
-                    cache.reports.extend_from_slice(reports);
-                }
-                None => {
-                    self.cache = Some(QuiescentCache {
-                        generation: self.generation,
-                        scheduler: self.scheduler,
-                        loads: self.loads.clone(),
-                        reports: reports.to_vec(),
-                    });
-                }
-            }
-        }
-        true
-    }
-
-    /// Advances the machine `epochs` epochs with the offered loads held
-    /// fixed at `load_for`'s output (evaluated once, at batch entry),
-    /// without materializing reports.
-    ///
-    /// Bit-identical in *state* to `epochs` successive
-    /// [`PhysicalMachine::step_epoch_into`] calls whose closure returns
-    /// these same loads, with every report discarded: a machine whose
-    /// demand can still change resolves every epoch (workload state,
-    /// counters and RNG-consuming demands advance exactly as they would),
-    /// while a machine whose workloads are all static at these loads
-    /// resolves **at most once** — its reports are synthesized into the
-    /// quiescent cache on that resolve, so a later report-returning step
-    /// replays the same bytes the dense sweep would produce, and the
-    /// remaining epochs of the batch cost nothing at all.  This is what
-    /// makes bulk advancement O(active machines), not O(machines): the
-    /// per-epoch loop never revisits a quiescent machine.
-    pub(crate) fn advance_epochs<F>(
-        &mut self,
-        first_epoch: u64,
-        epochs: u64,
-        load_for: &F,
-        seed: ClusterSeed,
-        use_cache: bool,
-    ) where
-        F: Fn(VmId) -> f64 + ?Sized,
-    {
-        if self.vms.is_empty() || epochs == 0 {
-            return;
-        }
-        self.loads.clear();
-        for vm in self.vms.iter() {
-            self.loads.push(load_for(vm.id).clamp(0.0, 1.0));
-        }
-        for offset in 0..epochs {
-            if use_cache
-                && self
-                    .cache
-                    .as_ref()
-                    .is_some_and(|c| c.is_current(self.generation, self.scheduler, &self.loads))
-                && self.resolver.spec() == &self.spec
-            {
-                // Loads are fixed for the rest of the batch by contract, so
-                // one hit covers every remaining epoch.
-                self.quiescent_steps += epochs - offset;
-                return;
-            }
-            let epoch = first_epoch + offset;
-            self.resolve_current_loads(epoch, seed);
-            if use_cache && self.all_static() {
-                self.fill_cache_from_outcomes(epoch);
-            }
-        }
-    }
-
-    /// Steps 2–3 of the epoch pipeline: per-(vm, epoch) demand generation
-    /// and whole-machine contention resolution over `self.loads` (which the
-    /// caller has already filled), bumping the resolve counter.
-    fn resolve_current_loads(&mut self, epoch: u64, seed: ClusterSeed) {
         // 2. Collect intrinsic demands from every workload, each from its
         // own per-(vm, epoch) stream.
         self.demands.clear();
@@ -461,59 +334,58 @@ impl PhysicalMachine {
         self.resolver
             .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
         self.resolves += 1;
-    }
 
-    /// True when every hosted workload declares its demand static at the
-    /// load in `self.loads` — the precondition for filling the cache.
-    fn all_static(&self) -> bool {
-        self.vms
-            .iter()
-            .zip(&self.loads)
-            .all(|(vm, &load)| vm.workload.demand_is_static_at(load))
-    }
+        // 4. Package per-VM reports.
+        let start = out.len();
+        out.extend(
+            self.vms
+                .iter()
+                .zip(&self.demands)
+                .zip(&self.loads)
+                .zip(&self.outcomes)
+                .map(|(((vm, demand), &load), outcome)| VmEpochReport {
+                    vm_id: vm.id,
+                    pm_id: self.id,
+                    app: vm.app_id(),
+                    epoch,
+                    offered_load: load,
+                    counters: outcome.counters,
+                    demand: demand.clone(),
+                    achieved_fraction: outcome.achieved_fraction,
+                    observation: vm.client.observe(load, outcome.achieved_fraction),
+                    breakdown: outcome.breakdown,
+                }),
+        );
 
-    /// Builds this resolve's reports straight into the quiescent cache
-    /// (used by the report-free [`PhysicalMachine::advance_epochs`] path,
-    /// where there is no output vector to copy them from).  Every field is
-    /// a pure function of the resolve, so the bytes match what step 4 of
-    /// [`PhysicalMachine::step_epoch_into`] would have produced.
-    fn fill_cache_from_outcomes(&mut self, epoch: u64) {
-        let pm_id = self.id;
-        let reports = self
-            .vms
-            .iter()
-            .zip(&self.demands)
-            .zip(&self.loads)
-            .zip(&self.outcomes)
-            .map(|(((vm, demand), &load), outcome)| VmEpochReport {
-                vm_id: vm.id,
-                pm_id,
-                app: vm.app_id(),
-                epoch,
-                offered_load: load,
-                counters: outcome.counters,
-                demand: demand.clone(),
-                achieved_fraction: outcome.achieved_fraction,
-                observation: vm.client.observe(load, outcome.achieved_fraction),
-                breakdown: outcome.breakdown,
-            });
-        match &mut self.cache {
-            Some(cache) => {
-                cache.generation = self.generation;
-                cache.scheduler = self.scheduler;
-                cache.loads.clear();
-                cache.loads.extend_from_slice(&self.loads);
-                cache.reports.clear();
-                cache.reports.extend(reports);
-            }
-            None => {
-                let reports = reports.collect();
-                self.cache = Some(QuiescentCache {
-                    generation: self.generation,
-                    scheduler: self.scheduler,
-                    loads: self.loads.clone(),
-                    reports,
-                });
+        // 5. Seed the quiescent cache when every workload is static at the
+        // load it was just resolved with — the only state from which a
+        // later epoch may be skipped.  Active machines never reach here
+        // with all-static loads, so they never pay the report clone.
+        if use_cache
+            && self
+                .vms
+                .iter()
+                .zip(&self.loads)
+                .all(|(vm, &load)| vm.workload.demand_is_static_at(load))
+        {
+            let reports = &out[start..];
+            match &mut self.cache {
+                Some(cache) => {
+                    cache.generation = self.generation;
+                    cache.scheduler = self.scheduler;
+                    cache.loads.clear();
+                    cache.loads.extend_from_slice(&self.loads);
+                    cache.reports.clear();
+                    cache.reports.extend_from_slice(reports);
+                }
+                None => {
+                    self.cache = Some(QuiescentCache {
+                        generation: self.generation,
+                        scheduler: self.scheduler,
+                        loads: self.loads.clone(),
+                        reports: reports.to_vec(),
+                    });
+                }
             }
         }
     }
@@ -558,10 +430,21 @@ mod tests {
         PhysicalMachine::new(PmId(0), MachineSpec::xeon_x5472(), Scheduler::default())
     }
 
+    /// One dense epoch's reports.
+    fn step(
+        pm: &mut PhysicalMachine,
+        epoch: u64,
+        load_for: &dyn Fn(VmId) -> f64,
+    ) -> Vec<VmEpochReport> {
+        let mut out = Vec::new();
+        pm.step_epoch_into(epoch, load_for, seed(), false, &mut out);
+        out
+    }
+
     #[test]
     fn empty_machine_steps_to_empty_report() {
         let mut pm = machine();
-        assert!(pm.step_epoch(0, &|_| 1.0, seed()).is_empty());
+        assert!(step(&mut pm, 0, &|_| 1.0).is_empty());
     }
 
     #[test]
@@ -584,7 +467,7 @@ mod tests {
     fn solo_vm_reports_healthy_performance() {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
-        let reports = pm.step_epoch(0, &|_| 0.8, seed());
+        let reports = step(&mut pm, 0, &|_| 0.8);
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.vm_id, VmId(1));
@@ -598,12 +481,12 @@ mod tests {
     fn colocated_aggressor_degrades_the_victim() {
         let mut solo = machine();
         solo.try_add_vm(serving_vm(1)).unwrap();
-        let solo_reports = solo.step_epoch(0, &|_| 1.0, seed());
+        let solo_reports = step(&mut solo, 0, &|_| 1.0);
 
         let mut shared = machine();
         shared.try_add_vm(serving_vm(1)).unwrap();
         shared.try_add_vm(aggressor_vm(2, 512.0)).unwrap();
-        let shared_reports = shared.step_epoch(0, &|_| 1.0, seed());
+        let shared_reports = step(&mut shared, 0, &|_| 1.0);
 
         let baseline = &solo_reports[0];
         let victim = &shared_reports[0];
@@ -620,7 +503,7 @@ mod tests {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
         pm.try_add_vm(serving_vm(2)).unwrap();
-        let reports = pm.step_epoch(0, &|id| if id == VmId(1) { 1.0 } else { 0.2 }, seed());
+        let reports = step(&mut pm, 0, &|id| if id == VmId(1) { 1.0 } else { 0.2 });
         assert!(reports[0].demand.instructions > 3.0 * reports[1].demand.instructions);
         assert!((reports[0].offered_load - 1.0).abs() < 1e-12);
         assert!((reports[1].offered_load - 0.2).abs() < 1e-12);
@@ -630,7 +513,7 @@ mod tests {
     fn reports_carry_the_epoch_index() {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
-        let reports = pm.step_epoch(17, &|_| 1.0, seed());
+        let reports = step(&mut pm, 17, &|_| 1.0);
         assert_eq!(reports[0].epoch, 17);
     }
 }

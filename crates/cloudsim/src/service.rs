@@ -413,9 +413,9 @@ impl DatacenterService {
     /// migrates VMs between epochs).  The service's placement hints are
     /// only hints — every candidate is revalidated at admission time — so
     /// external mutation cannot corrupt placement, only make the next
-    /// arrival's scan marginally longer.  Pair controller-driven
-    /// migrations with [`DatacenterService::note_capacity_freed`] to keep
-    /// the hints warm.
+    /// arrival's scan marginally longer.  Report every controller-driven
+    /// migration with [`DatacenterService::note_migrated`] to keep the
+    /// hints warm and the failure-domain spread counts right.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
@@ -442,10 +442,11 @@ impl DatacenterService {
         self.events.len()
     }
 
-    /// Tells the placement hint queue that `pm` freed some capacity — the
-    /// hook a migration controller calls for each machine it moved a VM
-    /// *off* (departures handled by the service itself do this
-    /// automatically).
+    /// Tells the placement hint queue that `pm` freed some capacity
+    /// (departures handled by the service itself do this automatically).
+    /// A migration controller should call
+    /// [`DatacenterService::note_migrated`] instead, which also keeps the
+    /// spread counts right when spread placement is on.
     pub fn note_capacity_freed(&mut self, pm: PmId) {
         // Spread placement scans by domain count and never consults the
         // hint queue; don't let it grow unbounded.
@@ -455,6 +456,31 @@ impl DatacenterService {
         let index = pm.0 as usize;
         if index < self.config.machines {
             self.free_hint.push_back(index);
+        }
+    }
+
+    /// Tells the service that a migration controller moved `vm` off `from`
+    /// onto the machine now hosting it.  With [`ServiceConfig::spread`] set
+    /// this moves the application's power-domain count from `from`'s domain
+    /// to the new host's, so the VM's later departure decrements the right
+    /// domain; otherwise `from` joins the placement hint queue
+    /// ([`DatacenterService::note_capacity_freed`]).
+    pub fn note_migrated(&mut self, vm: VmId, from: PmId) {
+        if self.config.spread.is_none() {
+            self.note_capacity_freed(from);
+            return;
+        }
+        let Some(to) = self.cluster.locate(vm) else {
+            return;
+        };
+        let app = self
+            .cluster
+            .machine(to)
+            .and_then(|machine| machine.vms().iter().find(|v| v.id == vm))
+            .map(Vm::app_id);
+        if let Some(app) = app {
+            self.note_spread_removed(from, app);
+            self.note_spread_placed(to, app);
         }
     }
 
@@ -1206,5 +1232,39 @@ mod tests {
         // The next arrival (t = 20) lands on the freed machine first.
         svc.run_epochs(25);
         assert_eq!(svc.cluster().locate(VmId(1)), Some(from));
+    }
+
+    #[test]
+    fn note_migrated_keeps_spread_counts_right_across_departure() {
+        // Power domain 0 holds machines 0..4, domain 1 holds 4..8.  VM 0
+        // (short-lived) and VM 1 of one app land in different domains.
+        let topo = Topology::new(2, 2);
+        let mut svc = DatacenterService::new(
+            ServiceConfig::xeon_fleet(8, 3).with_spread(topo),
+            sessions(&[(0.0, 5.0, 0.5, 1), (0.01, 500.0, 0.5, 1)]),
+        );
+        svc.run_epochs(2);
+        let vm = VmId(0);
+        let from = svc.cluster().locate(vm).expect("vm 0 resident");
+        let to = PmId((from.0 + 4) % 8);
+        assert_ne!(topo.domain_of(from), topo.domain_of(to));
+        svc.cluster_mut()
+            .migrate(vm, to)
+            .expect("room across domains");
+        svc.note_migrated(vm, from);
+        svc.run_epochs(8);
+        assert_eq!(svc.stats().departures, 1, "vm 0 departed");
+        // The bookkeeping must match the counts recomputed from the cluster.
+        let mut recomputed: BTreeMap<AppId, Vec<u32>> = BTreeMap::new();
+        for machine in svc.cluster().machines() {
+            for resident in machine.vms() {
+                let counts = recomputed.entry(resident.app_id()).or_default();
+                counts.resize(2, 0);
+                counts[topo.domain_of(machine.id) as usize] += 1;
+            }
+        }
+        let mut tracked = svc.app_domains.clone();
+        tracked.values_mut().for_each(|counts| counts.resize(2, 0));
+        assert_eq!(tracked, recomputed);
     }
 }

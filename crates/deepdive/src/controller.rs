@@ -408,7 +408,8 @@ impl DeepDive {
     }
 
     /// Attaches the fault plane whose sandbox-outage and migration-failure
-    /// schedules the controller must degrade around.  Share the plane (it
+    /// schedules the controller must degrade around; mitigation also skips
+    /// destinations that are down or draining.  Share the plane (it
     /// is `Copy`) with the datacenter service so both layers see the same
     /// schedule.  A disabled plane is byte-for-byte inert.
     pub fn set_fault_plane(&mut self, plane: cloudsim::FaultPlane) {
@@ -776,10 +777,12 @@ impl DeepDive {
         None
     }
 
-    /// True while `pm` is inside the fault plane's crash window.
-    fn machine_is_down(&self, pm: PmId, epoch: u64) -> bool {
+    /// True while `pm` takes no new VM: inside the fault plane's crash
+    /// window, or in a maintenance drain's notice window (the service is
+    /// migrating its residents out).
+    fn refuses_placements(&self, pm: PmId, epoch: u64) -> bool {
         self.fault_plane
-            .is_some_and(|plane| plane.machine_down(pm, epoch))
+            .is_some_and(|plane| plane.machine_down(pm, epoch) || plane.machine_draining(pm, epoch))
     }
 
     /// Mitigates confirmed interference on the machine hosting `victim`.
@@ -821,7 +824,7 @@ impl DeepDive {
         let candidates: Vec<CandidateMachine> = cluster
             .machines()
             .iter()
-            .filter(|m| m.id != pm && !self.machine_is_down(m.id, epoch))
+            .filter(|m| m.id != pm && !self.refuses_placements(m.id, epoch))
             .map(|m| CandidateMachine {
                 pm_id: m.id,
                 spec: m.spec.clone(),
@@ -1152,6 +1155,49 @@ mod tests {
             "budget exhaustion must be reported: {events:?}"
         );
         assert_eq!(cluster.locate(VmId(99)), Some(PmId(0)), "nothing moved");
+    }
+
+    #[test]
+    fn mitigation_never_lands_on_a_draining_machine() {
+        use cloudsim::faults::{FaultConfig, FaultPlane};
+
+        // Drains only, with a notice longer than the run.  Scan fault seeds
+        // for one under which machine 1 is draining from before the
+        // aggressor arrives to the end of the run while machines 0 and 2
+        // stay up and undrained.
+        const EPOCHS: u64 = 90;
+        let config = FaultConfig {
+            machine_drain_per_epoch: 0.01,
+            drain_notice_epochs: 1_000,
+            ..FaultConfig::disabled()
+        };
+        let untouched = |plane: &FaultPlane, pm: PmId| {
+            (0..EPOCHS).all(|e| !plane.machine_draining(pm, e) && !plane.machine_down(pm, e))
+        };
+        let plane = (0..10_000)
+            .map(|seed| FaultPlane::new(seed, config))
+            .find(|plane| {
+                (40..EPOCHS).all(|e| plane.machine_draining(PmId(1), e))
+                    && untouched(plane, PmId(0))
+                    && untouched(plane, PmId(2))
+            })
+            .expect("some seed drains machine 1 alone");
+
+        let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        let mut dd = controller(true, &cluster);
+        dd.set_fault_plane(plane);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        run(&mut cluster, &mut dd, &engine, 50, 0.8);
+        cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+        let events = run(&mut cluster, &mut dd, &engine, 40, 0.8);
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, EpochEvent::Migrated { to, .. } if *to == PmId(1))),
+            "migrated onto the draining machine: {events:?}"
+        );
+        assert_eq!(cluster.locate(VmId(99)), Some(PmId(2)), "{events:?}");
     }
 
     #[test]

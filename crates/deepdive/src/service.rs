@@ -11,8 +11,9 @@
 //!    epoch, producing the per-VM reports;
 //! 2. the controller's warning system sweeps the reports, analyzes
 //!    suspects in the sandbox and (optionally) migrates confirmed victims;
-//! 3. every machine a migration freed is reported back to the service's
-//!    placement hints, so the next arrival finds the hole without a scan.
+//! 3. every migration is reported back to the service, so its placement
+//!    hints find the freed hole without a scan and its failure-domain
+//!    spread counts follow the moved VM.
 //!
 //! The composition stays deterministic end to end: the service is
 //! bit-reproducible by construction and the controller is a pure function
@@ -79,11 +80,11 @@ impl ManagedDatacenter {
             .controller
             .process_epoch(self.service.cluster_mut(), &reports);
         for event in &events {
-            if let EpochEvent::Migrated { from, .. } = event {
-                // The migration left a hole on the source machine; keep
-                // the service's placement hints warm so the next arrival
-                // lands there without rescanning the fleet.
-                self.service.note_capacity_freed(*from);
+            if let EpochEvent::Migrated { vm, from, .. } = event {
+                // Keep the service's placement state current: the hint
+                // queue learns of the hole on the source machine, or, with
+                // spread placement, the app's domain counts follow the VM.
+                self.service.note_migrated(*vm, *from);
             }
         }
         (reports, events)

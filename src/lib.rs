@@ -168,20 +168,17 @@
 //!   apps, constant stressors) resolves once, caches its per-VM reports,
 //!   and replays them byte-for-byte until membership, offered loads, or
 //!   placement generation change (`EpochEngine::set_sparse`, default on;
-//!   dense mode remains for measurement).  For whole idle stretches,
-//!   `EpochEngine::advance_epochs` goes further and skips report
-//!   materialization entirely — quiescent machines are visited once per
-//!   batch, active machines resolve every epoch, and the returned
-//!   `AdvanceSummary` accounts resolved vs quiescent machine-epochs.
-//!   Both paths are pinned bit-identical to dense serial stepping across
-//!   all three execution modes under randomized arrival/departure/
-//!   migration churn (`tests/engine_equivalence.rs`).
+//!   dense mode remains as the reference).  `EpochEngine::step` is the
+//!   only stepping path: every loop reads every VM's report every epoch.
+//!   Sparse stepping is pinned bit-identical to dense under randomized
+//!   arrival/departure/migration churn in serial and pooled mode
+//!   (`tests/engine_equivalence.rs`).
 //!   Measured by `cargo bench -p bench --bench datacenter_throughput`
-//!   (dumps `BENCH_datacenter.json`): on a 1-core container at 10k
-//!   machines / 40k VMs / 10% activity, the report-free sparse advance
-//!   sustains ~33.7M VM-epochs/sec — ~12× the dense per-epoch sweep
-//!   (~18× at 100k machines) — while the service loop absorbs ~5.5–10k
-//!   VM-arrivals/sec under the trace presets.
+//!   (dumps `BENCH_datacenter.json`): in one run on a 2-core host at 10k
+//!   machines / 40k VMs / 10% activity, serial sparse stepping sustained
+//!   ~12M VM-epochs/sec, ~3.2× dense (~1.7× at 100k machines), while the
+//!   service loop absorbed ~5.5–9.8k VM-arrivals/sec under the trace
+//!   presets.
 //!
 //! # Fault model
 //!
@@ -284,11 +281,10 @@
 //!   never perturb other VMs' demand streams,
 //! * `tests/pool_lifecycle.rs` — worker-pool guarantees: drop joins every
 //!   worker (no leaked threads across repeated construction), degenerate
-//!   clusters step on the calling thread, zero-epoch advances are no-ops,
-//!   a panicking shard propagates its original payload after the barrier
-//!   without advancing the epoch or poisoning the pool, and an engine and
-//!   a controller sharing one oversubscribed pool run hundreds of short
-//!   episodes without a stall,
+//!   clusters step on the calling thread, a panicking shard propagates
+//!   its original payload after the barrier without advancing the epoch
+//!   or poisoning the pool, and an engine and a controller sharing one
+//!   oversubscribed pool run hundreds of short episodes without a stall,
 //! * `tests/fault_tolerance.rs` — the chaos suite: randomized fault +
 //!   churn schedules (including random topologies, correlated rack/domain
 //!   outages and maintenance drains) through every execution mode with

@@ -7,8 +7,7 @@
 //! 1. **Clean shutdown** — dropping a pooled engine joins every worker;
 //!    constructing engines in a loop leaks no threads.
 //! 2. **Degenerate clusters degrade gracefully** — VM-less and
-//!    single-machine clusters step entirely on the calling thread, and a
-//!    zero-epoch advance is a no-op.
+//!    single-machine clusters step entirely on the calling thread.
 //! 3. **Panic containment** — a panicking `load_for` in a shard propagates
 //!    its original payload to the caller *after* the shard barrier, leaves
 //!    the cluster epoch counter un-advanced, and does **not** poison the
@@ -89,22 +88,6 @@ fn degenerate_clusters_step_on_the_calling_thread() {
                 "single-machine divergence under {mode:?}"
             );
         }
-    }
-}
-
-#[test]
-fn zero_epoch_batches_are_no_ops() {
-    for mode in [ExecutionMode::Serial, ExecutionMode::Pooled { threads: 4 }] {
-        let engine = EpochEngine::new(ClusterSeed::new(9), mode);
-        let mut c = cluster(3, 6);
-        let summary = engine.advance_epochs(&mut c, 0, |_| 0.5);
-        assert_eq!(summary.vm_epochs, 0, "zero epochs did work: {mode:?}");
-        assert_eq!(c.epoch(), 0, "zero-epoch advance moved the epoch");
-        assert_eq!(
-            c.total_resolves(),
-            0,
-            "zero-epoch advance resolved: {mode:?}"
-        );
     }
 }
 
